@@ -61,15 +61,24 @@ func shellFor(b *testing.B, app *apps.App, opts core.Options, cfg nic.ShellConfi
 	return sh
 }
 
-func packetsForRun(b *testing.B) int {
-	n := b.N
-	if n < 2000 {
-		n = 2000
+// benchPackets is the size of the one RunLoad (or baseline run) each
+// b.N iteration serves, so ns/op is the host cost of that many packets.
+const benchPackets = 2000
+
+// serveBench runs one fixed-size RunLoad per b.N iteration and returns
+// the last run's report for the simulated-time metrics.
+func serveBench(b *testing.B, sh *nic.Shell, next func() []byte, offeredPps float64) nic.Report {
+	b.Helper()
+	var rep nic.Report
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if rep, err = sh.RunLoad(next, benchPackets, offeredPps); err != nil {
+			b.Fatal(err)
+		}
 	}
-	if n > 200000 {
-		n = 200000
-	}
-	return n
+	b.StopTimer()
+	return rep
 }
 
 // BenchmarkFig9aThroughput regenerates Figure 9a: line-rate forwarding
@@ -79,13 +88,7 @@ func BenchmarkFig9aThroughput(b *testing.B) {
 		b.Run(app.Name+"/eHDL", func(b *testing.B) {
 			sh := shellFor(b, app, core.Options{}, nic.ShellConfig{})
 			gen := pktgen.NewGenerator(app.Traffic)
-			n := packetsForRun(b)
-			b.ResetTimer()
-			rep, err := sh.RunLoad(gen.Next, n, sh.LineRateMpps(64)*1e6)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
+			rep := serveBench(b, sh, gen.Next, sh.LineRateMpps(64)*1e6)
 			b.ReportMetric(rep.AchievedMpps, "Mpps")
 			b.ReportMetric(float64(rep.Lost), "lost")
 			if rep.Lost > 0 {
@@ -94,23 +97,31 @@ func BenchmarkFig9aThroughput(b *testing.B) {
 		})
 		b.Run(app.Name+"/hXDP", func(b *testing.B) {
 			gen := pktgen.NewGenerator(app.Traffic)
-			n := min(packetsForRun(b), 3000)
+			prog := programFor(b, app)
+			var mpps float64
 			b.ResetTimer()
-			rep, err := hxdp.New().RunApp(programFor(b, app), app.SetupHost, gen, n)
-			if err != nil {
-				b.Fatal(err)
+			for i := 0; i < b.N; i++ {
+				rep, err := hxdp.New().RunApp(prog, app.SetupHost, gen, benchPackets)
+				if err != nil {
+					b.Fatal(err)
+				}
+				mpps = rep.Mpps
 			}
-			b.ReportMetric(rep.Mpps, "Mpps")
+			b.ReportMetric(mpps, "Mpps")
 		})
 		b.Run(app.Name+"/Bf2-4c", func(b *testing.B) {
 			gen := pktgen.NewGenerator(app.Traffic)
-			n := min(packetsForRun(b), 3000)
+			prog := programFor(b, app)
+			var mpps float64
 			b.ResetTimer()
-			rep, err := bluefield.New(4).RunApp(programFor(b, app), app.SetupHost, gen, n)
-			if err != nil {
-				b.Fatal(err)
+			for i := 0; i < b.N; i++ {
+				rep, err := bluefield.New(4).RunApp(prog, app.SetupHost, gen, benchPackets)
+				if err != nil {
+					b.Fatal(err)
+				}
+				mpps = rep.Mpps
 			}
-			b.ReportMetric(rep.Mpps, "Mpps")
+			b.ReportMetric(mpps, "Mpps")
 		})
 	}
 }
@@ -122,13 +133,7 @@ func BenchmarkFig9bLatency(b *testing.B) {
 		b.Run(app.Name, func(b *testing.B) {
 			sh := shellFor(b, app, core.Options{}, nic.ShellConfig{})
 			gen := pktgen.NewGenerator(app.Traffic)
-			n := min(packetsForRun(b), 5000)
-			b.ResetTimer()
-			rep, err := sh.RunLoad(gen.Next, n, 50e6)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
+			rep := serveBench(b, sh, gen.Next, 50e6)
 			b.ReportMetric(rep.AvgLatencyNs, "ns-latency")
 		})
 	}
@@ -191,14 +196,7 @@ func BenchmarkTable2Flushing(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			sh := shellFor(b, apps.LeakyBucket(), core.Options{}, nic.ShellConfig{})
 			trace := pktgen.NewTrace(profile)
-			offered := pktgen.LineRatePPS(100e9, profile.MeanPacketLen)
-			n := packetsForRun(b)
-			b.ResetTimer()
-			rep, err := sh.RunLoad(trace.Next, n, offered)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
+			rep := serveBench(b, sh, trace.Next, pktgen.LineRatePPS(100e9, profile.MeanPacketLen))
 			b.ReportMetric(rep.FlushesPerS, "flushes/s")
 			b.ReportMetric(float64(rep.Lost), "lost")
 		})
@@ -326,21 +324,22 @@ func BenchmarkHazardPolicy(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			n := min(packetsForRun(b), 5000)
 			b.ResetTimer()
-			for _, p := range gen.Batch(n) {
-				for !sim.InputFree() {
+			for i := 0; i < b.N; i++ {
+				for _, p := range gen.Batch(benchPackets) {
+					for !sim.InputFree() {
+						if err := sim.Step(); err != nil {
+							b.Fatal(err)
+						}
+					}
+					sim.Inject(p)
 					if err := sim.Step(); err != nil {
 						b.Fatal(err)
 					}
 				}
-				sim.Inject(p)
-				if err := sim.Step(); err != nil {
+				if err := sim.RunToCompletion(1 << 24); err != nil {
 					b.Fatal(err)
 				}
-			}
-			if err := sim.RunToCompletion(1 << 24); err != nil {
-				b.Fatal(err)
 			}
 			b.StopTimer()
 			b.ReportMetric(sim.Stats().Mpps(250e6), "Mpps")
@@ -377,13 +376,7 @@ func BenchmarkVHDLGeneration(b *testing.B) {
 func BenchmarkSimulatorCycleRate(b *testing.B) {
 	sh := shellFor(b, apps.Firewall(), core.Options{}, nic.ShellConfig{})
 	gen := pktgen.NewGenerator(apps.Firewall().Traffic)
-	n := packetsForRun(b)
-	b.ResetTimer()
-	rep, err := sh.RunLoad(gen.Next, n, 148.8e6)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
+	rep := serveBench(b, sh, gen.Next, 148.8e6)
 	b.ReportMetric(float64(rep.Cycles), "sim-cycles")
 }
 
@@ -480,14 +473,7 @@ func BenchmarkRSSScaling(b *testing.B) {
 			cfg := nic.ShellConfig{Queues: queues, Sim: hwsim.Config{InputQueuePackets: 64}}
 			sh := shellFor(b, apps.Toy(), core.Options{}, cfg)
 			gen := pktgen.NewGenerator(apps.Toy().Traffic)
-			n := packetsForRun(b)
-			offered := 0.85 * 250e6 * float64(queues)
-			b.ResetTimer()
-			rep, err := sh.RunLoad(gen.Next, n, offered)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
+			rep := serveBench(b, sh, gen.Next, 0.85*250e6*float64(queues))
 			if rep.Lost > 0 {
 				b.Errorf("%d queues lost %d packets at 85%% aggregate load", queues, rep.Lost)
 			}
@@ -500,13 +486,6 @@ func BenchmarkRSSScaling(b *testing.B) {
 			}
 		})
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func maxInt(a, b int) int {

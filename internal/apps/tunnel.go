@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"ehdl/internal/ebpf"
@@ -61,19 +60,6 @@ func setupTunnelEndpoints(set *maps.Set) error {
 		}
 	}
 	return nil
-}
-
-// TunnelStats reads the encapsulation counter from the host side.
-func TunnelStats(set *maps.Set) uint64 {
-	stats, ok := set.ByName("tnstats")
-	if !ok {
-		return 0
-	}
-	v, ok := stats.Lookup([]byte{0, 0, 0, 0})
-	if !ok {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(v)
 }
 
 const tunnelSource = `

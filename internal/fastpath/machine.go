@@ -503,6 +503,12 @@ func (m *Machine) SetClock(fn func() uint64) { m.env.Now = fn }
 // Maps exposes the bound map set (the host interface).
 func (m *Machine) Maps() *maps.Set { return m.env.Maps }
 
+// StatsBase implements hwsim.Core.
+func (m *Machine) StatsBase() hwsim.Stats {
+	m.stats.LatencyMax = 0
+	return m.Stats()
+}
+
 // Stats returns a copy of the counters so far, Actions deep-copied
 // (the histogram fast-lane folded back in).
 func (m *Machine) Stats() hwsim.Stats {

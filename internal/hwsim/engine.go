@@ -45,6 +45,10 @@ type Core interface {
 	Maps() *maps.Set
 	// Stats returns a snapshot of the run counters.
 	Stats() Stats
+	// StatsBase returns Stats() as the base of a new measurement
+	// window and restarts the LatencyMax high-water mark, so
+	// Stats().Delta(base) carries the window's own maximum.
+	StatsBase() Stats
 }
 
 // Compile-time check that the interpreter satisfies the shared surface.

@@ -258,7 +258,8 @@ func (s Stats) Add(o Stats) Stats {
 }
 
 // Delta returns the counters accumulated since the base snapshot
-// (LatencyMax carries over: it is a high-water mark, not a counter).
+// (LatencyMax carries over: it is the high-water mark since the last
+// StatsBase, not a counter).
 func (s Stats) Delta(base Stats) Stats {
 	out := s
 	out.Cycles -= base.Cycles
@@ -323,8 +324,8 @@ type job struct {
 	stage      int // current stage, -1 while queued
 	execStage  int // last stage whose ops ran (guards stalls)
 
-	lookupAddr map[int]uint64 // mapID -> last lookup value address
-	lookupKey  map[int]string // mapID -> last lookup key
+	lookupAddr map[int]uint64          // mapID -> last lookup value address
+	lookupKey  map[int]string          // mapID -> last lookup key
 	reads      map[int]map[string]bool // mapID -> unconfirmed read keys (flush eval addresses)
 	flushed    int
 	commits    int // committed map mutations (atomic/update/delete/store)
@@ -523,6 +524,12 @@ func (s *Sim) Stats() Stats {
 		out.Actions[a] = n
 	}
 	return out
+}
+
+// StatsBase implements Core.
+func (s *Sim) StatsBase() Stats {
+	s.stats.LatencyMax = 0
+	return s.Stats()
 }
 
 // Cycle returns the current clock cycle.
@@ -873,6 +880,7 @@ func (s *Sim) expireShadows() {
 //     re-injected victims would reorder same-key accesses. Such packets
 //     cannot have committed map effects past the elastic buffer, so
 //     their replay is side-effect free.
+//
 // When force is set (fault injection: a spurious Flush Evaluation
 // verdict), the flush proceeds even without a matching stale reader;
 // packets whose replay would repeat committed map effects are left

@@ -40,6 +40,15 @@ func (a *multiAgg) add(rs rss.RunStats) {
 	a.fallbacks += rs.FallbackSteers
 }
 
+// stats sums the per-queue counters of every session.
+func (a *multiAgg) stats() hwsim.Stats {
+	var s hwsim.Stats
+	for _, qs := range a.perQueue {
+		s = s.Add(qs.Stats)
+	}
+	return s
+}
+
 // runLoadMulti is RunLoad for the multi-queue shell: the caller's
 // goroutine generates and classifies arrivals, one worker goroutine per
 // replica paces and executes them against the shared simulated clock,
@@ -54,38 +63,21 @@ func (sh *Shell) runLoadMulti(next func() []byte, count int, offeredPps float64)
 	cyclesPerPacket := clock / offeredPps
 
 	var (
-		rep      Report
-		agg      multiAgg
-		sent     int
-		extra    int
-		bytesIn  uint64
-		bytesOut uint64
-		// latSum accumulates latency in cycles; the average converts
-		// once at the end so the result does not depend on the order
-		// queues interleave (float addition is not associative).
-		latSum uint64
-		latMax uint64
+		rep Report
+		agg multiAgg
+		in  arrivals
 	)
-	rep.Actions = map[ebpf.XDPAction]uint64{}
 	rep.QueueCount = sh.engine.Queues()
 
-	var startFaults faults.Counters
 	if sh.inj != nil {
-		startFaults = sh.inj.Counters()
+		in.faults = sh.inj.Counters()
 		next = sh.inj.WrapTraffic(next)
 	}
 
-	// dispatch runs on the collector goroutine. It only touches
-	// collector-owned accumulators until Drain's join publishes them.
+	// dispatch runs on the collector goroutine; Drain's join publishes
+	// the byte count. Everything else comes out of the replica counters.
 	dispatch := func(c rss.Completion) {
-		rep.Received++
-		rep.Actions[c.Res.Action]++
-		bytesOut += uint64(c.PktLen)
-		lat := c.Res.LatencyCycles + uint64(sh.cfg.fifoCycles())
-		latSum += lat
-		if lat > latMax {
-			latMax = lat
-		}
+		in.bytesOut += uint64(c.PktLen)
 	}
 
 	if err := sh.engine.Start(cyclesPerPacket, dispatch); err != nil {
@@ -93,11 +85,11 @@ func (sh *Shell) runLoadMulti(next func() []byte, count int, offeredPps float64)
 	}
 
 	endRegion := obs.Region(ctx, "drive")
-	for sent < count {
+	for in.paced < count {
 		// A scheduled live update triggers once enough traffic was
 		// offered: quiesce-drain every replica, swap them atomically,
 		// and resume — or roll back with the old replicas untouched.
-		if sh.pending != nil && sent >= sh.pending.after {
+		if sh.pending != nil && in.paced >= sh.pending.after {
 			p := sh.pending
 			sh.pending = nil
 			rep.UpdatesAttempted++
@@ -106,34 +98,35 @@ func (sh *Shell) runLoadMulti(next func() []byte, count int, offeredPps float64)
 				if _, ok := err.(*liveupdate.UpdateError); !ok {
 					// Not an update failure: the engine itself broke.
 					endRegion()
+					sh.settle(&rep, agg.stats())
 					return rep, err
 				}
 			}
 			// Arrivals that landed during the cutover drain were held
 			// and release first, in order — they are simply the next
 			// packets of the generated sequence.
-			for i := 0; i < held && sent < count; i++ {
+			for i := 0; i < held && in.paced < count; i++ {
 				pkt := next()
-				bytesIn += uint64(len(pkt))
+				in.bytesIn += uint64(len(pkt))
 				sh.engine.Offer(pkt)
-				sent++
+				in.paced++
 				rep.HeldPackets++
 			}
 			continue
 		}
 		pkt := next()
-		bytesIn += uint64(len(pkt))
+		in.bytesIn += uint64(len(pkt))
 		sh.engine.Offer(pkt)
-		sent++
-		if sh.inj != nil && sent < count && sh.inj.Roll(faults.QueueOverflow) {
+		in.paced++
+		if sh.inj != nil && in.paced < count && sh.inj.Roll(faults.QueueOverflow) {
 			// Ingress overflow burst: a burst of frames lands on the
 			// next arrival's cycle on top of the paced load, spread
 			// across queues by their flow hashes.
 			for i := 0; i < sh.inj.BurstLen(); i++ {
 				b := next()
-				bytesIn += uint64(len(b))
+				in.bytesIn += uint64(len(b))
 				sh.engine.OfferBurst(b)
-				extra++
+				in.extra++
 			}
 			sh.inj.Note(faults.QueueOverflow)
 		}
@@ -143,11 +136,10 @@ func (sh *Shell) runLoadMulti(next func() []byte, count int, offeredPps float64)
 	rs, err := sh.engine.Drain()
 	agg.add(rs)
 	if err != nil {
+		sh.settle(&rep, agg.stats())
 		return rep, err
 	}
 
-	rep.Sent = uint64(sent + extra)
-	rep.Cycles = agg.cycles
 	rep.MergeConflicts = agg.conflicts
 	rep.SteerFallbacks = agg.fallbacks
 	for q, qs := range agg.perQueue {
@@ -163,56 +155,11 @@ func (sh *Shell) runLoadMulti(next func() []byte, count int, offeredPps float64)
 			qr.AchievedMpps = float64(qr.Received) / (float64(qs.Cycles) / clock) / 1e6
 		}
 		rep.PerQueue = append(rep.PerQueue, qr)
-		rep.Lost += qs.Stats.QueueDrops
-		rep.Flushes += qs.Stats.Flushes
-		rep.FaultsInjected += qs.Stats.FaultsInjected
-		rep.MalformedDropped += qs.Stats.MalformedDropped
-		rep.QueueOverflows += qs.Stats.QueueOverflows
-		rep.WatchdogTrips += qs.Stats.WatchdogTrips
-		rep.CorrectedWords += qs.Stats.CorrectedWords
-		rep.UncorrectableWords += qs.Stats.UncorrectableWords
-		rep.ScrubPasses += qs.Stats.ScrubPasses
-		rep.CheckpointsTaken += qs.Stats.CheckpointsTaken
-		rep.Recoveries += qs.Stats.Recoveries
-		rep.RecoveryAborted += qs.Stats.RecoveryAborted
-		rep.RecoveryBackoffCycles += qs.Stats.RecoveryBackoffCycles
 	}
-	if sh.inj != nil {
-		endFaults := sh.inj.Counters()
-		rep.MalformedSent = endFaults.ByClass[faults.MalformedTraffic] - startFaults.ByClass[faults.MalformedTraffic]
-		rep.OverflowBursts = endFaults.ByClass[faults.QueueOverflow] - startFaults.ByClass[faults.QueueOverflow]
-	}
-
 	// Replicas run concurrently in hardware: the run's wall-clock is
 	// the slowest session chain, so throughput uses agg.cycles (the
 	// session maxima), not the per-queue sum.
-	seconds := float64(agg.cycles) / clock
-	if seconds > 0 {
-		rep.AchievedMpps = float64(rep.Received) / seconds / 1e6
-		rep.AchievedGbps = float64(bytesOut+20*rep.Received) * 8 / seconds / 1e9
-		rep.FlushesPerS = float64(rep.Flushes) / seconds
-	}
-	rep.OfferedMpps = offeredPps / 1e6
-	if sent > 0 {
-		rep.OfferedGbps = float64(bytesIn+20*rep.Sent) * 8 / (float64(sent) * cyclesPerPacket / clock) / 1e9
-	}
-	if rep.Received > 0 {
-		rep.AvgLatencyNs = float64(latSum) / float64(rep.Received) / clock * 1e9
-	}
-	rep.MaxLatencyNs = float64(latMax) / clock * 1e9
-	if reg := sh.cfg.Sim.Metrics; reg != nil {
-		if h, ok := reg.HistogramByName(hwsim.MetricStageOccupancy); ok {
-			rep.MeanStageOccupancy = h.Mean()
-		}
-		if h, ok := reg.HistogramByName(hwsim.MetricCyclesPerPacket); ok {
-			rep.P99LatencyCycles = h.Quantile(0.99)
-		}
-		if h, ok := reg.HistogramByName(hwsim.MetricFlushPenalty); ok {
-			rep.FlushPenaltyMean = h.Mean()
-		}
-		rep.MapPortOps, _ = reg.CounterValue(hwsim.MetricMapPortOps)
-		rep.BackpressureCycles, _ = reg.CounterValue(hwsim.MetricBackpressure)
-	}
+	sh.closeReport(&rep, agg.stats(), agg.cycles, offeredPps, in)
 	return rep, nil
 }
 

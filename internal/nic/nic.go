@@ -49,11 +49,12 @@ type ShellConfig struct {
 	// FastPath requests the compiled host fast path: the design is
 	// compiled once into a per-stage closure chain and packets execute
 	// allocation-free, with the cycle-accurate interpreter retained as
-	// the conformance oracle. The request falls back to the interpreter
-	// silently when the configuration needs it (faults, protection,
-	// watchdog, stall policy, tracing, metrics — the matrix in
-	// DESIGN.md) and for the single-queue leg of a scheduled live
-	// update; Shell.FastPath reports what actually serves.
+	// the conformance oracle. RunLoad's one serving loop drives the
+	// compiled machine in place of the interpreter; the request falls
+	// back to the interpreter silently when the configuration needs it
+	// (faults, protection, watchdog, stall policy, tracing, metrics —
+	// the matrix in DESIGN.md) and for a single-queue run with a live
+	// update scheduled. Shell.FastPath reports what actually serves.
 	FastPath bool
 	// Hazard policy and other simulator knobs.
 	Sim hwsim.Config
@@ -418,12 +419,6 @@ func (sh *Shell) RunLoad(next func() []byte, count int, offeredPps float64) (Rep
 	if sh.engine != nil {
 		return sh.runLoadMulti(next, count, offeredPps)
 	}
-	if sh.fast != nil && sh.pending == nil && sh.ctrl == nil {
-		// The compiled engine serves whenever no live update is armed;
-		// an update run falls back to the interpreter below (shared map
-		// environment, so state carries over either way).
-		return sh.runLoadFast(next, count, offeredPps)
-	}
 	// Annotate the run for runtime/trace consumers (-runtime-trace on
 	// the CLIs); free when no execution trace is active.
 	ctx, endTask := obs.Task(context.Background(), "nic.RunLoad")
@@ -431,38 +426,37 @@ func (sh *Shell) RunLoad(next func() []byte, count int, offeredPps float64) (Rep
 	clock := sh.cfg.clockHz()
 	cyclesPerPacket := clock / offeredPps
 
+	// One loop drives whichever engine serves. The compiled machine
+	// serves whenever no live update is armed; an update run falls back
+	// to the interpreter (shared map environment, so state carries over
+	// either way). The fault, update and release hooks below are
+	// nil-guarded, and none of them is armed while the compiled machine
+	// serves.
+	var eng hwsim.Core = sh.sim
+	if sh.FastPath() {
+		eng = sh.fast
+	}
+
 	var (
 		rep       Report
-		sent      int
+		in        arrivals
 		due       float64
-		bytesIn   uint64
-		bytesOut  uint64
 		acc       hwsim.Stats
-		startStat = sh.sim.Stats()
+		startStat = eng.StatsBase()
 		began     bool
 		beginErr  *liveupdate.UpdateError
 	)
-	rep.Actions = map[ebpf.XDPAction]uint64{}
-
-	var startFaults faults.Counters
 	if sh.inj != nil {
-		startFaults = sh.inj.Counters()
+		in.faults = sh.inj.Counters()
 		next = sh.inj.WrapTraffic(next)
 	}
 
-	dispatch := func(r hwsim.Result) {
-		rep.Received++
-		rep.Actions[r.Action]++
-		lat := (float64(r.LatencyCycles) + float64(sh.cfg.fifoCycles())) / clock * 1e9
-		rep.AvgLatencyNs += lat
-		if lat > rep.MaxLatencyNs {
-			rep.MaxLatencyNs = lat
-		}
-		if sh.ctrl != nil {
-			sh.ctrl.NoteCompletion(r)
-		}
+	// The completion ledger comes out of the engine counters at the end;
+	// the only per-packet callback feeds the update controller's
+	// post-verify window, registered while an update is armed.
+	if sh.ctrl != nil {
+		sh.sim.OnComplete(sh.ctrl.NoteCompletion)
 	}
-	sh.sim.OnComplete(dispatch)
 	defer func() { sh.sim.OnComplete(nil) }()
 
 	// release holds packets the update controller buffered during the
@@ -470,11 +464,11 @@ func (sh *Shell) RunLoad(next func() []byte, count int, offeredPps float64) (Rep
 	// newer arrivals, so the update never drops or reorders a packet.
 	var release [][]byte
 	drainRelease := func() {
-		for len(release) > 0 && sh.sim.InputFree() {
+		for len(release) > 0 && eng.InputFree() {
 			pkt := release[0]
 			release = release[1:]
-			if sh.sim.Inject(pkt) {
-				bytesOut += uint64(len(pkt))
+			if eng.Inject(pkt) {
+				in.bytesOut += uint64(len(pkt))
 				if sh.ctrl != nil {
 					sh.ctrl.NoteInjected(pkt)
 				}
@@ -487,7 +481,7 @@ func (sh *Shell) RunLoad(next func() []byte, count int, offeredPps float64) (Rep
 	// dropped), otherwise it goes to the serving pipeline — behind any
 	// released backlog, to preserve arrival order.
 	inject := func(pkt []byte) {
-		bytesIn += uint64(len(pkt))
+		in.bytesIn += uint64(len(pkt))
 		if sh.ctrl != nil && sh.ctrl.OfferPacket(pkt) {
 			return
 		}
@@ -495,8 +489,8 @@ func (sh *Shell) RunLoad(next func() []byte, count int, offeredPps float64) (Rep
 			release = append(release, pkt)
 			return
 		}
-		if sh.sim.Inject(pkt) {
-			bytesOut += uint64(len(pkt))
+		if eng.Inject(pkt) {
+			in.bytesOut += uint64(len(pkt))
 			if sh.ctrl != nil {
 				sh.ctrl.NoteInjected(pkt)
 			}
@@ -504,10 +498,9 @@ func (sh *Shell) RunLoad(next func() []byte, count int, offeredPps float64) (Rep
 	}
 
 	endRegion := obs.Region(ctx, "drive")
-	extra := 0
-	for sent < count || sh.sim.Busy() || len(release) > 0 || (sh.ctrl != nil && sh.ctrl.Active()) {
+	for in.paced < count || eng.Busy() || len(release) > 0 || (sh.ctrl != nil && sh.ctrl.Active()) {
 		// Arm the scheduled update once enough traffic was offered.
-		if sh.pending != nil && sent >= sh.pending.after {
+		if sh.pending != nil && in.paced >= sh.pending.after {
 			p := sh.pending
 			sh.pending = nil
 			ucfg := p.cfg
@@ -530,27 +523,29 @@ func (sh *Shell) RunLoad(next func() []byte, count int, offeredPps float64) (Rep
 				}
 			} else {
 				sh.ctrl = ctrl
+				sh.sim.OnComplete(ctrl.NoteCompletion)
 			}
 		}
 		// Arrivals faster than the clock queue several packets per cycle.
-		for sent < count && due <= 0 {
+		for in.paced < count && due <= 0 {
 			inject(next())
-			sent++
+			in.paced++
 			due += cyclesPerPacket
 		}
-		if sh.inj != nil && sent < count && sh.inj.Roll(faults.QueueOverflow) {
+		if sh.inj != nil && in.paced < count && sh.inj.Roll(faults.QueueOverflow) {
 			// Ingress overflow burst: a full burst of frames lands in this
 			// cycle on top of the paced load. The bounded input queue
 			// absorbs what it can and drops the rest — counted, never an
 			// error.
 			for i := 0; i < sh.inj.BurstLen(); i++ {
 				inject(next())
-				extra++
+				in.extra++
 			}
 			sh.inj.Note(faults.QueueOverflow)
 		}
-		if err := sh.sim.Step(); err != nil {
+		if err := eng.Step(); err != nil {
 			endRegion()
+			sh.settle(&rep, acc.Add(eng.Stats().Delta(startStat)))
 			return rep, err
 		}
 		if sh.ctrl != nil && sh.ctrl.Active() {
@@ -558,8 +553,8 @@ func (sh *Shell) RunLoad(next func() []byte, count int, offeredPps float64) (Rep
 			if res.Switched != nil {
 				// Atomic cutover: fold the retired pipeline's counters into
 				// the aggregate, keep the master clock continuous, swap the
-				// ingress, and re-register the completion dispatcher.
-				acc = acc.Add(sh.sim.Stats().Delta(startStat))
+				// ingress, and move the post-verify hook across.
+				acc = acc.Add(eng.Stats().Delta(startStat))
 				sh.cycleBase += sh.sim.Cycle() - res.Switched.Cycle()
 				if sh.fast != nil {
 					// The compiled engine ran the old program; retire it and
@@ -569,8 +564,10 @@ func (sh *Shell) RunLoad(next func() []byte, count int, offeredPps float64) (Rep
 					sh.fast = nil
 				}
 				sh.sim = res.Switched
-				sh.sim.OnComplete(dispatch)
-				startStat = sh.sim.Stats()
+				sh.sim.OnComplete(sh.ctrl.NoteCompletion)
+				// The new base keeps the packets the shadow retired during
+				// its canary phase, latencies included, out of the report.
+				eng, startStat = sh.sim, sh.sim.StatsBase()
 			}
 			// Held arrivals re-enter in order — into the new pipeline
 			// after a switch, back into the old one after a rollback —
@@ -582,27 +579,9 @@ func (sh *Shell) RunLoad(next func() []byte, count int, offeredPps float64) (Rep
 	}
 	endRegion()
 
-	end := acc.Add(sh.sim.Stats().Delta(startStat))
-	rep.Cycles = end.Cycles
-	rep.Sent = uint64(sent + extra)
-	rep.Lost = end.QueueDrops
-	rep.Flushes = end.Flushes
-	rep.FaultsInjected = end.FaultsInjected
-	rep.MalformedDropped = end.MalformedDropped
-	rep.QueueOverflows = end.QueueOverflows
-	rep.WatchdogTrips = end.WatchdogTrips
-	rep.CorrectedWords = end.CorrectedWords
-	rep.UncorrectableWords = end.UncorrectableWords
-	rep.ScrubPasses = end.ScrubPasses
-	rep.CheckpointsTaken = end.CheckpointsTaken
-	rep.Recoveries = end.Recoveries
-	rep.RecoveryAborted = end.RecoveryAborted
-	rep.RecoveryBackoffCycles = end.RecoveryBackoffCycles
-	if sh.inj != nil {
-		endFaults := sh.inj.Counters()
-		rep.MalformedSent = endFaults.ByClass[faults.MalformedTraffic] - startFaults.ByClass[faults.MalformedTraffic]
-		rep.OverflowBursts = endFaults.ByClass[faults.QueueOverflow] - startFaults.ByClass[faults.QueueOverflow]
-	}
+	end := acc.Add(eng.Stats().Delta(startStat))
+	rep.QueueCount = 1
+	sh.closeReport(&rep, end, end.Cycles, offeredPps, in)
 	if began {
 		if beginErr != nil {
 			rep.UpdateStage = liveupdate.StageRolledBack.String()
@@ -629,17 +608,75 @@ func (sh *Shell) RunLoad(next func() []byte, count int, offeredPps float64) (Rep
 			}
 		}
 	}
-	seconds := float64(rep.Cycles) / clock
+	return rep, nil
+}
+
+// arrivals is the shell side of a run's ledger: what the generator
+// offered and what the serving engines accepted.
+type arrivals struct {
+	// paced counts arrivals at the offered rate; extra counts the
+	// ingress overflow bursts' frames on top of them.
+	paced, extra int
+	// bytesIn is every offered frame's length, bytesOut the accepted
+	// (or, multi-queue, retired) frames'.
+	bytesIn, bytesOut uint64
+	// faults is the injector's counters at the start of the run.
+	faults faults.Counters
+}
+
+// settle copies the retirement ledger — packets received, verdicts and
+// latency — from the serving engines' counters into rep. A run that
+// ends in an engine error reports only these fields.
+func (sh *Shell) settle(rep *Report, end hwsim.Stats) {
+	rep.Received = end.Completed
+	rep.Actions = end.Actions
+	if rep.Received > 0 {
+		// The host FIFO adds the same latency to every packet, so it
+		// folds in once, after the average.
+		clock, fifo := sh.cfg.clockHz(), float64(sh.cfg.fifoCycles())
+		rep.AvgLatencyNs = (float64(end.LatencySum)/float64(rep.Received) + fifo) / clock * 1e9
+		rep.MaxLatencyNs = (float64(end.LatencyMax) + fifo) / clock * 1e9
+	}
+}
+
+// closeReport turns a finished run into its Report: end is the serving
+// engines' counter delta, summed over queues and sessions, and cycles
+// the run's simulated length. Both the single-queue loop and the
+// multi-queue engine close through here.
+func (sh *Shell) closeReport(rep *Report, end hwsim.Stats, cycles uint64, offeredPps float64, in arrivals) {
+	sh.settle(rep, end)
+	rep.Sent = uint64(in.paced + in.extra)
+	rep.Cycles = cycles
+	rep.Lost = end.QueueDrops
+	rep.Flushes = end.Flushes
+	rep.FaultsInjected = end.FaultsInjected
+	rep.MalformedDropped = end.MalformedDropped
+	rep.QueueOverflows = end.QueueOverflows
+	rep.WatchdogTrips = end.WatchdogTrips
+	rep.CorrectedWords = end.CorrectedWords
+	rep.UncorrectableWords = end.UncorrectableWords
+	rep.ScrubPasses = end.ScrubPasses
+	rep.CheckpointsTaken = end.CheckpointsTaken
+	rep.Recoveries = end.Recoveries
+	rep.RecoveryAborted = end.RecoveryAborted
+	rep.RecoveryBackoffCycles = end.RecoveryBackoffCycles
+	if sh.inj != nil {
+		endFaults := sh.inj.Counters()
+		rep.MalformedSent = endFaults.ByClass[faults.MalformedTraffic] - in.faults.ByClass[faults.MalformedTraffic]
+		rep.OverflowBursts = endFaults.ByClass[faults.QueueOverflow] - in.faults.ByClass[faults.QueueOverflow]
+	}
+
+	clock := sh.cfg.clockHz()
+	cyclesPerPacket := clock / offeredPps
+	seconds := float64(cycles) / clock
 	if seconds > 0 {
 		rep.AchievedMpps = float64(rep.Received) / seconds / 1e6
-		rep.AchievedGbps = float64(bytesOut+20*rep.Received) * 8 / seconds / 1e9
+		rep.AchievedGbps = float64(in.bytesOut+20*rep.Received) * 8 / seconds / 1e9
 		rep.FlushesPerS = float64(rep.Flushes) / seconds
 	}
-	rep.QueueCount = 1
 	rep.OfferedMpps = offeredPps / 1e6
-	rep.OfferedGbps = float64(bytesIn+20*rep.Sent) * 8 / (float64(sent) * cyclesPerPacket / clock) / 1e9
-	if rep.Received > 0 {
-		rep.AvgLatencyNs /= float64(rep.Received)
+	if in.paced > 0 {
+		rep.OfferedGbps = float64(in.bytesIn+20*rep.Sent) * 8 / (float64(in.paced) * cyclesPerPacket / clock) / 1e9
 	}
 	if reg := sh.cfg.Sim.Metrics; reg != nil {
 		if h, ok := reg.HistogramByName(hwsim.MetricStageOccupancy); ok {
@@ -654,7 +691,6 @@ func (sh *Shell) RunLoad(next func() []byte, count int, offeredPps float64) (Rep
 		rep.MapPortOps, _ = reg.CounterValue(hwsim.MetricMapPortOps)
 		rep.BackpressureCycles, _ = reg.CounterValue(hwsim.MetricBackpressure)
 	}
-	return rep, nil
 }
 
 // SaturationMpps ramps the offered rate until packets are lost and

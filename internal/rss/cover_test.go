@@ -97,7 +97,7 @@ func TestDispatcherMetered(t *testing.T) {
 
 // TestEngineAccessors exercises the small engine surface the bigger
 // suites reach only indirectly: Pipeline, Sharing bounds, SetClock,
-// KeepData, OfferBurst and Unseal-based reuse.
+// KeepData and OfferBurst.
 func TestEngineAccessors(t *testing.T) {
 	pl := compileApp(t, "toy")
 	e, err := NewEngine(pl, Config{Queues: 2})
@@ -135,11 +135,6 @@ func TestEngineAccessors(t *testing.T) {
 	if _, err := e.Drain(); err == nil {
 		t.Error("Drain on a stopped engine should error")
 	}
-
-	// Unseal reopens broadcast mode: a host write must land in every
-	// bank directly, and the next Start re-seals against it.
-	e.Unseal()
-	runEngine(t, e, pktgen.GeneratorConfig{Flows: 8, PacketLen: 64, Seed: 6}, 10)
 }
 
 // TestBankedHostWritesAfterSeal covers the host port of a sealed banked
@@ -190,11 +185,5 @@ func TestBankedHostWritesAfterSeal(t *testing.T) {
 	}
 	if err := b.Delete(k1); err == nil {
 		t.Error("double delete should surface bank 0's error")
-	}
-
-	// Unseal: back to direct bank-0 reads.
-	b.unseal()
-	if v, ok := b.Lookup(k2); !ok || v[0] != 2 {
-		t.Fatalf("post-unseal lookup %v %v", v, ok)
 	}
 }

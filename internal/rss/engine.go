@@ -110,10 +110,10 @@ type replica struct {
 	globalSeq map[uint64]inflight
 
 	// Session state, reset by Start.
-	cycleBase  uint64
-	statsBase  hwsim.Stats
-	endCycles  uint64
-	endStats   hwsim.Stats
+	cycleBase uint64
+	statsBase hwsim.Stats
+	endCycles uint64
+	endStats  hwsim.Stats
 	runErr    error
 }
 
@@ -267,15 +267,11 @@ func (e *Engine) HostMaps() *maps.Set { return e.host }
 
 // Replica exposes one underlying interpreter simulator (tests, clock
 // pinning). It returns nil when the replica runs the compiled fast
-// path; ReplicaCore reaches the engine either way.
+// path.
 func (e *Engine) Replica(q int) *hwsim.Sim {
 	sim, _ := e.replicas[q].sim.(*hwsim.Sim)
 	return sim
 }
-
-// ReplicaCore exposes one replica's execution engine regardless of
-// mode.
-func (e *Engine) ReplicaCore(q int) hwsim.Core { return e.replicas[q].sim }
 
 // FastPath reports whether the replicas run the compiled fast path
 // (false means the interpreter serves, either because it was not
@@ -337,7 +333,7 @@ func (e *Engine) Start(cyclesPerPacket float64, onComplete func(Completion)) err
 
 	for _, r := range e.replicas {
 		r.cycleBase = r.sim.Cycle()
-		r.statsBase = r.sim.Stats()
+		r.statsBase = r.sim.StatsBase()
 		r.runErr = nil
 		e.workerWG.Add(1)
 		go e.worker(r, disp.Sink(r.idx))
@@ -466,13 +462,4 @@ func (e *Engine) Drain() (RunStats, error) {
 	}
 	rs.FallbackSteers = e.disp.Fallbacks()
 	return rs, firstErr
-}
-
-// Unseal reopens host-broadcast mode on the banked maps (engine reuse
-// after a live-update rollback re-seeds state).
-func (e *Engine) Unseal() {
-	for _, b := range e.bankeds {
-		b.unseal()
-	}
-	e.sealed = false
 }

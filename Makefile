@@ -70,7 +70,7 @@ cover:
 	            exit bad }' /tmp/ehdl-cover.txt
 	@echo "coverage gates passed"
 
-# Short fuzz sweeps over the six adversarial surfaces: the vm-vs-hwsim
+# Short fuzz sweeps over the nine adversarial surfaces: the vm-vs-hwsim
 # conformance fuzzer, the three-way vm/interpreter/fast-path fuzzer
 # (random frames against every app — one divergent verdict, map byte or
 # ledger count fails), the migration schema/copy fuzzer, the RSS
@@ -80,8 +80,11 @@ cover:
 # quarantined and traced, never silently dropped) and the journal
 # decoder fuzzer (torn tails, truncations and bit flips against the WAL
 # framing — typed corruption errors or clean truncation, never a panic
-# or a silent misparse). Ten seconds each — a smoke pass over the
-# corpus plus fresh mutations, not a campaign.
+# or a silent misparse), plus the three input decoders: the assembler,
+# the ELF loader and the bytecode unmarshaller (malformed text or bytes
+# must error, never panic; whatever is accepted must validate, or
+# re-encode to the same bytes). Ten seconds each — a smoke pass over
+# the corpus plus fresh mutations, not a campaign.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDifferential -fuzztime 10s ./internal/conformance/
 	$(GO) test -run '^$$' -fuzz FuzzFastPath -fuzztime 10s ./internal/conformance/
@@ -89,6 +92,9 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRSSDispatch -fuzztime 10s ./internal/rss/
 	$(GO) test -run '^$$' -fuzz FuzzTenantClassifier -fuzztime 10s ./internal/tenant/
 	$(GO) test -run '^$$' -fuzz FuzzJournalDecode -fuzztime 10s ./internal/durable/
+	$(GO) test -run '^$$' -fuzz FuzzAssemble -fuzztime 10s ./internal/asm/
+	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 10s ./internal/elf/
+	$(GO) test -run '^$$' -fuzz FuzzUnmarshal -fuzztime 10s ./internal/ebpf/
 
 # Benchmark-regression harness. bench-baseline re-records the committed
 # baseline (do this deliberately, with the diff in review); bench-check

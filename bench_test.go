@@ -1,7 +1,9 @@
 // Package ehdl's benchmark suite regenerates every table and figure of
-// the paper's evaluation as a testing.B benchmark. Custom metrics carry
-// the simulated quantities (Mpps, ns latency, FPGA resources); ns/op is
-// the host-side simulation cost.
+// the paper's evaluation as a testing.B benchmark: BenchmarkExperiments
+// runs each experiment of internal/experiments and reports its points
+// (simulated Mpps, latency, FPGA resources, ...) as custom metrics, with
+// ns/op the host cost of one regeneration. The remaining benchmarks time
+// the compiler, the backend and the execution engines themselves.
 //
 // Run everything:
 //
@@ -9,20 +11,16 @@
 //
 // One experiment:
 //
-//	go test -bench=BenchmarkFig9aThroughput -benchtime=10000x
+//	go test -bench=BenchmarkExperiments/fig9a -benchtime=10x
 package ehdl
 
 import (
-	"strconv"
 	"testing"
 
-	"ehdl/internal/analytic"
 	"ehdl/internal/apps"
-	"ehdl/internal/baseline/bluefield"
-	"ehdl/internal/baseline/hxdp"
-	"ehdl/internal/baseline/sdnet"
 	"ehdl/internal/core"
 	"ehdl/internal/ebpf"
+	"ehdl/internal/experiments"
 	"ehdl/internal/fastpath"
 	"ehdl/internal/hdl"
 	"ehdl/internal/hwsim"
@@ -49,226 +47,36 @@ func compileFor(b *testing.B, app *apps.App, opts core.Options) *core.Pipeline {
 	return pl
 }
 
-func shellFor(b *testing.B, app *apps.App, opts core.Options, cfg nic.ShellConfig) *nic.Shell {
-	b.Helper()
-	sh, err := nic.New(compileFor(b, app, opts), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := app.Setup(sh.Maps()); err != nil {
-		b.Fatal(err)
-	}
-	return sh
-}
-
-// benchPackets is the size of the one RunLoad (or baseline run) each
-// b.N iteration serves, so ns/op is the host cost of that many packets.
+// benchPackets is the per-measurement-point packet count of the
+// benchmarks that serve traffic.
 const benchPackets = 2000
 
-// serveBench runs one fixed-size RunLoad per b.N iteration and returns
-// the last run's report for the simulated-time metrics.
-func serveBench(b *testing.B, sh *nic.Shell, next func() []byte, offeredPps float64) nic.Report {
-	b.Helper()
-	var rep nic.Report
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		if rep, err = sh.RunLoad(next, benchPackets, offeredPps); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	return rep
-}
-
-// BenchmarkFig9aThroughput regenerates Figure 9a: line-rate forwarding
-// for every application, with the processor baselines for comparison.
-func BenchmarkFig9aThroughput(b *testing.B) {
-	for _, app := range apps.All() {
-		b.Run(app.Name+"/eHDL", func(b *testing.B) {
-			sh := shellFor(b, app, core.Options{}, nic.ShellConfig{})
-			gen := pktgen.NewGenerator(app.Traffic)
-			rep := serveBench(b, sh, gen.Next, sh.LineRateMpps(64)*1e6)
-			b.ReportMetric(rep.AchievedMpps, "Mpps")
-			b.ReportMetric(float64(rep.Lost), "lost")
-			if rep.Lost > 0 {
-				b.Errorf("%s lost %d packets at line rate", app.Name, rep.Lost)
-			}
-		})
-		b.Run(app.Name+"/hXDP", func(b *testing.B) {
-			gen := pktgen.NewGenerator(app.Traffic)
-			prog := programFor(b, app)
-			var mpps float64
-			b.ResetTimer()
+// BenchmarkExperiments regenerates every experiment once per b.N
+// iteration and reports the last run's points as custom metrics, one
+// per point key. The shape assertions live in the experiments tests.
+func BenchmarkExperiments(b *testing.B) {
+	cfg := experiments.Config{Packets: benchPackets}
+	all := experiments.All()
+	for _, id := range experiments.IDs() {
+		run := all[id]
+		b.Run(id, func(b *testing.B) {
+			var tab experiments.Table
 			for i := 0; i < b.N; i++ {
-				rep, err := hxdp.New().RunApp(prog, app.SetupHost, gen, benchPackets)
-				if err != nil {
+				var err error
+				if tab, err = run(cfg); err != nil {
 					b.Fatal(err)
 				}
-				mpps = rep.Mpps
 			}
-			b.ReportMetric(mpps, "Mpps")
-		})
-		b.Run(app.Name+"/Bf2-4c", func(b *testing.B) {
-			gen := pktgen.NewGenerator(app.Traffic)
-			prog := programFor(b, app)
-			var mpps float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep, err := bluefield.New(4).RunApp(prog, app.SetupHost, gen, benchPackets)
-				if err != nil {
-					b.Fatal(err)
-				}
-				mpps = rep.Mpps
+			for k, v := range tab.Points {
+				b.ReportMetric(v, k)
 			}
-			b.ReportMetric(mpps, "Mpps")
 		})
 	}
 }
 
-// BenchmarkFig9bLatency regenerates Figure 9b: per-application
-// forwarding latency.
-func BenchmarkFig9bLatency(b *testing.B) {
-	for _, app := range apps.All() {
-		b.Run(app.Name, func(b *testing.B) {
-			sh := shellFor(b, app, core.Options{}, nic.ShellConfig{})
-			gen := pktgen.NewGenerator(app.Traffic)
-			rep := serveBench(b, sh, gen.Next, 50e6)
-			b.ReportMetric(rep.AvgLatencyNs, "ns-latency")
-		})
-	}
-}
-
-// BenchmarkFig9cStages regenerates Figure 9c: stage and instruction
-// counts per application.
-func BenchmarkFig9cStages(b *testing.B) {
-	for _, app := range apps.All() {
-		b.Run(app.Name, func(b *testing.B) {
-			var stages, bundles, orig int
-			for i := 0; i < b.N; i++ {
-				pl := compileFor(b, app, core.Options{})
-				bu, err := hxdp.New().StaticBundles(programFor(b, app))
-				if err != nil {
-					b.Fatal(err)
-				}
-				stages, bundles, orig = pl.NumStages(), bu, len(pl.Prog.Instructions)
-			}
-			b.ReportMetric(float64(stages), "stages")
-			b.ReportMetric(float64(bundles), "hXDP-instr")
-			b.ReportMetric(float64(orig), "orig-instr")
-		})
-	}
-}
-
-// BenchmarkFig10Resources regenerates Figure 10: FPGA utilisation of the
-// three systems.
-func BenchmarkFig10Resources(b *testing.B) {
-	dev := hdl.AlveoU50()
-	for _, app := range apps.All() {
-		b.Run(app.Name, func(b *testing.B) {
-			var eh hdl.Percent
-			for i := 0; i < b.N; i++ {
-				eh = hdl.EstimateDesign(compileFor(b, app, core.Options{})).PercentOf(dev)
-			}
-			b.ReportMetric(eh.LUT, "LUT%")
-			b.ReportMetric(eh.FF, "FF%")
-			b.ReportMetric(eh.BRAM, "BRAM%")
-			if !app.P4Expressible {
-				return
-			}
-			d, err := sdnet.Compile(app)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(d.Resources().PercentOf(dev).LUT, "SDNet-LUT%")
-		})
-	}
-}
-
-// BenchmarkTable2Flushing regenerates Table 2: leaky-bucket flush rates
-// under the CAIDA and MAWI trace profiles.
-func BenchmarkTable2Flushing(b *testing.B) {
-	for _, profile := range []pktgen.TraceProfile{pktgen.CAIDAProfile(), pktgen.MAWIProfile()} {
-		name := "CAIDA"
-		if profile.Seed == pktgen.MAWIProfile().Seed {
-			name = "MAWI"
-		}
-		b.Run(name, func(b *testing.B) {
-			sh := shellFor(b, apps.LeakyBucket(), core.Options{}, nic.ShellConfig{})
-			trace := pktgen.NewTrace(profile)
-			rep := serveBench(b, sh, trace.Next, pktgen.LineRatePPS(100e9, profile.MeanPacketLen))
-			b.ReportMetric(rep.FlushesPerS, "flushes/s")
-			b.ReportMetric(float64(rep.Lost), "lost")
-		})
-	}
-}
-
-// BenchmarkTable3Analytic regenerates Table 3 from the compiled hazard
-// geometry.
-func BenchmarkTable3Analytic(b *testing.B) {
-	pl := compileFor(b, apps.LeakyBucket(), core.Options{})
-	var mb *core.MapBlock
-	for i := range pl.Maps {
-		if pl.Maps[i].NeedsFlush {
-			mb = &pl.Maps[i]
-		}
-	}
-	if mb == nil {
-		b.Fatal("leaky bucket has no flush-protected map")
-	}
-	var tp float64
-	for i := 0; i < b.N; i++ {
-		pf := analytic.FlushProbZipf(mb.L, 50000)
-		tp = analytic.Throughput(250, mb.K+4, pf)
-	}
-	b.ReportMetric(float64(mb.K), "K")
-	b.ReportMetric(float64(mb.L), "L")
-	b.ReportMetric(tp, "Tp-Mpps")
-}
-
-// BenchmarkTable4Analytic regenerates Table 4.
-func BenchmarkTable4Analytic(b *testing.B) {
-	var rows []analytic.Table4Row
-	for i := 0; i < b.N; i++ {
-		rows = analytic.Table4()
-	}
-	for _, row := range rows {
-		b.ReportMetric(row.KMax, "Kmax-L"+strconv.Itoa(row.L))
-	}
-}
-
-// BenchmarkTable5ILP regenerates Table 5 / Appendix A.3.
-func BenchmarkTable5ILP(b *testing.B) {
-	for _, app := range apps.All() {
-		b.Run(app.Name, func(b *testing.B) {
-			var maxILP int
-			var avgILP float64
-			for i := 0; i < b.N; i++ {
-				maxILP, avgILP = compileFor(b, app, core.Options{}).ILP()
-			}
-			b.ReportMetric(float64(maxILP), "max-ILP")
-			b.ReportMetric(avgILP, "avg-ILP")
-		})
-	}
-}
-
-// BenchmarkStatePruning regenerates the Section 5.4 ablation.
-func BenchmarkStatePruning(b *testing.B) {
-	var dLUT, dFF, dBRAM float64
-	for i := 0; i < b.N; i++ {
-		pruned := hdl.EstimatePipeline(compileFor(b, apps.Toy(), core.Options{}))
-		unpruned := hdl.EstimatePipeline(compileFor(b, apps.Toy(), core.Options{DisablePruning: true}))
-		dLUT = 100 * float64(unpruned.LUTs-pruned.LUTs) / float64(pruned.LUTs)
-		dFF = 100 * float64(unpruned.FFs-pruned.FFs) / float64(pruned.FFs)
-		dBRAM = 100 * float64(unpruned.BRAM36-pruned.BRAM36) / float64(maxInt(pruned.BRAM36, 1))
-	}
-	b.ReportMetric(dLUT, "dLUT%")
-	b.ReportMetric(dFF, "dFF%")
-	b.ReportMetric(dBRAM, "dBRAM%")
-}
-
-// BenchmarkSingleFlowDegradation regenerates the Section 5.3 in-text
-// result: all packets on one map key versus the atomic toy counter.
+// BenchmarkSingleFlowDegradation is the atomic-map-primitive ablation
+// (Section 5.3): the toy program's global counter, hit by every packet,
+// served by atomics versus lowered to flushes (core.Options.DisableAtomics).
 func BenchmarkSingleFlowDegradation(b *testing.B) {
 	packets := make([][]byte, 0, 2000)
 	for i := 0; i < 2000; i++ {
@@ -307,46 +115,6 @@ func BenchmarkSingleFlowDegradation(b *testing.B) {
 	}
 }
 
-// BenchmarkHazardPolicy compares flush against conservative stalling
-// (the Section 4.1.2 design decision).
-func BenchmarkHazardPolicy(b *testing.B) {
-	for _, policy := range []hwsim.HazardPolicy{hwsim.PolicyFlush, hwsim.PolicyStall} {
-		name := "flush"
-		if policy == hwsim.PolicyStall {
-			name = "stall"
-		}
-		b.Run(name, func(b *testing.B) {
-			app := apps.LeakyBucket()
-			traffic := app.Traffic
-			traffic.Flows = 100000
-			gen := pktgen.NewGenerator(traffic)
-			sim, err := hwsim.New(compileFor(b, app, core.Options{}), hwsim.Config{Policy: policy})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, p := range gen.Batch(benchPackets) {
-					for !sim.InputFree() {
-						if err := sim.Step(); err != nil {
-							b.Fatal(err)
-						}
-					}
-					sim.Inject(p)
-					if err := sim.Step(); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if err := sim.RunToCompletion(1 << 24); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(sim.Stats().Mpps(250e6), "Mpps")
-		})
-	}
-}
-
 // BenchmarkCompile measures the compiler itself — the paper notes eHDL
 // generates designs "in few seconds".
 func BenchmarkCompile(b *testing.B) {
@@ -374,9 +142,23 @@ func BenchmarkVHDLGeneration(b *testing.B) {
 // BenchmarkSimulatorCycleRate measures the cycle-accurate simulator's
 // host-side speed (cycles of simulated hardware per wall second).
 func BenchmarkSimulatorCycleRate(b *testing.B) {
-	sh := shellFor(b, apps.Firewall(), core.Options{}, nic.ShellConfig{})
-	gen := pktgen.NewGenerator(apps.Firewall().Traffic)
-	rep := serveBench(b, sh, gen.Next, 148.8e6)
+	app := apps.Firewall()
+	sh, err := nic.New(compileFor(b, app, core.Options{}), nic.ShellConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := app.Setup(sh.Maps()); err != nil {
+		b.Fatal(err)
+	}
+	gen := pktgen.NewGenerator(app.Traffic)
+	var rep nic.Report
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rep, err = sh.RunLoad(gen.Next, benchPackets, 148.8e6); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
 	b.ReportMetric(float64(rep.Cycles), "sim-cycles")
 }
 
@@ -461,36 +243,4 @@ func BenchmarkFastPath(b *testing.B) {
 	if err := m.RunToCompletion(1 << 16); err != nil {
 		b.Fatal(err)
 	}
-}
-
-// BenchmarkRSSScaling sweeps the multi-queue shell at 85% of the
-// replica fleet's aggregate capacity; the Mpps and speedup metrics are
-// the simulated-time figures the regression baseline also guards.
-func BenchmarkRSSScaling(b *testing.B) {
-	var base float64
-	for _, queues := range []int{1, 2, 4, 8} {
-		b.Run("q"+strconv.Itoa(queues), func(b *testing.B) {
-			cfg := nic.ShellConfig{Queues: queues, Sim: hwsim.Config{InputQueuePackets: 64}}
-			sh := shellFor(b, apps.Toy(), core.Options{}, cfg)
-			gen := pktgen.NewGenerator(apps.Toy().Traffic)
-			rep := serveBench(b, sh, gen.Next, 0.85*250e6*float64(queues))
-			if rep.Lost > 0 {
-				b.Errorf("%d queues lost %d packets at 85%% aggregate load", queues, rep.Lost)
-			}
-			if queues == 1 {
-				base = rep.AchievedMpps
-			}
-			b.ReportMetric(rep.AchievedMpps, "Mpps")
-			if base > 0 {
-				b.ReportMetric(rep.AchievedMpps/base, "speedup")
-			}
-		})
-	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -14,12 +14,13 @@
 //
 // Experiment identifiers: table1, fig8, fig9a, fig9b, fig9c, fig10,
 // table2, table3, table4, table5, single-flow, pruning, power, hazard,
-// framing, lb, resilience, protection, liveupdate, scaling.
+// framing, lb, resilience, protection, liveupdate, scaling, tenancy.
 package main
 
 import (
 	"context"
-	"flag"
+	"errors"
+	flagpkg "flag"
 	"fmt"
 	"os"
 	"sort"
@@ -31,10 +32,11 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-func run() int {
+func run(args []string) int {
+	flag := flagpkg.NewFlagSet("ehdl-bench", flagpkg.ContinueOnError)
 	var (
 		exp      = flag.String("exp", "all", "experiment id or 'all'")
 		packets  = flag.Int("packets", 8000, "packets per measurement point")
@@ -50,7 +52,12 @@ func run() int {
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file when the run stops")
 		rtTrace   = flag.String("runtime-trace", "", "write a runtime/trace execution trace to this file")
 	)
-	flag.Parse()
+	if err := flag.Parse(args); err != nil {
+		if errors.Is(err, flagpkg.ErrHelp) {
+			return 0
+		}
+		return 1
+	}
 
 	if *list {
 		for _, id := range experiments.IDs() {

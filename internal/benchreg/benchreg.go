@@ -2,6 +2,9 @@
 // paper's headline performance numbers (Figure 9a throughput, Figure 9b
 // latency, Figure 10 resources, and the multi-queue scaling sweep) into
 // a committed JSON baseline, and checks a fresh collection against it.
+// Those figure points are the Points of the corresponding experiments
+// (internal/experiments); this package adds only the compiled fast
+// path's host timers.
 //
 // Every number gated at the 5% tolerance is a *simulated* quantity —
 // packets per second of simulated hardware time, FPGA resource
@@ -16,6 +19,7 @@ package benchreg
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"runtime"
 	"sort"
@@ -24,7 +28,7 @@ import (
 
 	"ehdl/internal/apps"
 	"ehdl/internal/core"
-	"ehdl/internal/hdl"
+	"ehdl/internal/experiments"
 	"ehdl/internal/hwsim"
 	"ehdl/internal/nic"
 	"ehdl/internal/pktgen"
@@ -38,9 +42,6 @@ const DefaultPackets = 6000
 // DefaultTolerancePct is the regression gate: simulated Mpps may not
 // drop more than this fraction below the baseline.
 const DefaultTolerancePct = 5.0
-
-// ScalingQueues is the queue sweep of the scale-out measurement.
-var ScalingQueues = []int{1, 2, 4, 8}
 
 // The compiled fast path's host-throughput points. Unlike every other
 // "host/" key these two ARE gated: the whole point of the compiled
@@ -81,79 +82,21 @@ type Baseline struct {
 	Points map[string]float64 `json:"points"`
 }
 
-// Collect runs every guarded measurement.
+// Collect runs every guarded measurement: the figure points of
+// figurePoints plus the compiled fast path's host timers.
 func Collect(packets int) (*Baseline, error) {
 	if packets <= 0 {
 		packets = DefaultPackets
+	}
+	points, err := figurePoints(packets)
+	if err != nil {
+		return nil, err
 	}
 	b := &Baseline{
 		Schema:  1,
 		Packets: packets,
 		NumCPU:  runtime.NumCPU(),
-		Points:  map[string]float64{},
-	}
-
-	dev := hdl.AlveoU50()
-	for _, app := range apps.All() {
-		pl, err := compile(app)
-		if err != nil {
-			return nil, fmt.Errorf("benchreg: %s: %w", app.Name, err)
-		}
-
-		// Figure 9a: line-rate forwarding throughput.
-		rep, err := runLoad(pl, app, nic.ShellConfig{}, packets, 0)
-		if err != nil {
-			return nil, fmt.Errorf("benchreg: %s throughput: %w", app.Name, err)
-		}
-		b.Points["fig9a/"+app.Name+"/mpps"] = rep.AchievedMpps
-		b.Points["fig9a/"+app.Name+"/lost"] = float64(rep.Lost)
-
-		// Figure 9b: forwarding latency at a moderate offered rate.
-		rep, err = runLoad(pl, app, nic.ShellConfig{}, packets/2, 50e6)
-		if err != nil {
-			return nil, fmt.Errorf("benchreg: %s latency: %w", app.Name, err)
-		}
-		b.Points["fig9b/"+app.Name+"/latency_ns"] = rep.AvgLatencyNs
-
-		// Figure 10: device utilisation of the generated design.
-		pct := hdl.EstimateDesign(pl).PercentOf(dev)
-		b.Points["fig10/"+app.Name+"/lut_pct"] = pct.LUT
-		b.Points["fig10/"+app.Name+"/bram_pct"] = pct.BRAM
-	}
-
-	// Multi-queue scaling: the toy pipeline saturates one replica at
-	// 250 Mpps, so offering 85% of N replicas' aggregate capacity shows
-	// whether the fleet actually absorbs it. Simulated Mpps is the gated
-	// series; wall-clock packet rates ride along under "host/".
-	app, _ := apps.ByName("toy")
-	pl, err := compile(app)
-	if err != nil {
-		return nil, fmt.Errorf("benchreg: toy: %w", err)
-	}
-	simMpps := map[int]float64{}
-	hostMpps := map[int]float64{}
-	for _, q := range ScalingQueues {
-		cfg := nic.ShellConfig{Queues: q, Sim: hwsim.Config{InputQueuePackets: 64}}
-		offered := 0.85 * 250e6 * float64(q)
-		start := time.Now()
-		rep, err := runLoad(pl, app, cfg, packets, offered)
-		if err != nil {
-			return nil, fmt.Errorf("benchreg: scaling q%d: %w", q, err)
-		}
-		wall := time.Since(start).Seconds()
-		simMpps[q] = rep.AchievedMpps
-		b.Points[fmt.Sprintf("scaling/toy/q%d/mpps", q)] = rep.AchievedMpps
-		b.Points[fmt.Sprintf("scaling/toy/q%d/lost", q)] = float64(rep.Lost)
-		if wall > 0 {
-			hostMpps[q] = float64(rep.Received) / wall / 1e6
-			b.Points[fmt.Sprintf("host/scaling/toy/q%d/mpps", q)] = hostMpps[q]
-		}
-	}
-	if simMpps[1] > 0 {
-		b.Points["scaling/toy/speedup_4q"] = simMpps[4] / simMpps[1]
-	}
-	if hostMpps[1] > 0 {
-		b.Points["host/scaling/toy/speedup_4q"] = hostMpps[4] / hostMpps[1]
+		Points:  points,
 	}
 
 	// Compiled fast path: the same designs on the closure-chain
@@ -188,8 +131,12 @@ func Collect(packets int) (*Baseline, error) {
 	}
 
 	// The 4-queue wall-clock comparison: compiled vs interpreted RSS
-	// engine, same offered rate as the scaling sweep's q4 point. app
-	// and pl are still the toy design from the scaling sweep.
+	// engine, same offered rate as the scaling sweep's q4 point.
+	app := apps.Toy()
+	pl, err := compile(app)
+	if err != nil {
+		return nil, fmt.Errorf("benchreg: toy: %w", err)
+	}
 	q4 := nic.ShellConfig{Queues: 4, Sim: hwsim.Config{InputQueuePackets: 64}}
 	offered4 := 0.85 * 250e6 * 4
 	fastCfg := q4
@@ -208,6 +155,25 @@ func Collect(packets int) (*Baseline, error) {
 		b.Points[KeyFastpathSpeedup4Q] = fast4 / interp4
 	}
 	return b, nil
+}
+
+// figurePoints is the union of the Points of the experiments behind the
+// baseline's figures: Figure 9a, 9b and 10 and the scaling sweep, whose
+// wall-clock single-queue rate is KeyScalingToyQ1Mpps.
+func figurePoints(packets int) (map[string]float64, error) {
+	points := map[string]float64{}
+	cfg := experiments.Config{Packets: packets}
+	for _, run := range []experiments.Runner{
+		experiments.Fig9aThroughput, experiments.Fig9bLatency,
+		experiments.Fig10Resources, experiments.Scaling,
+	} {
+		tab, err := run(cfg)
+		if err != nil {
+			return nil, fmt.Errorf("benchreg: %s: %w", tab.ID, err)
+		}
+		maps.Copy(points, tab.Points)
+	}
+	return points, nil
 }
 
 // Compare checks a fresh collection against a baseline and returns one
@@ -357,9 +323,10 @@ func hostMppsBatch(pl *core.Pipeline, app *apps.App, cfg nic.ShellConfig, packet
 	return best, nil
 }
 
-// runLoadBatch is runLoad over a pre-generated packet batch, returning
-// the wall-clock seconds alongside the report. Used for the host-speed
-// points where per-packet generation would distort the figure. A
+// runLoadBatch builds a fresh shell (fresh map state: measurements must
+// not inherit a previous point's entries) and drives one load over a
+// pre-generated packet batch, returning the wall-clock seconds alongside
+// the report. offered 0 means line rate for 64-byte frames. A
 // FastPath config that silently fell back to the interpreter is an
 // error: the point would gate the wrong executor.
 func runLoadBatch(pl *core.Pipeline, app *apps.App, cfg nic.ShellConfig, packets int, offered float64) (nic.Report, float64, error) {
@@ -387,22 +354,4 @@ func runLoadBatch(pl *core.Pipeline, app *apps.App, cfg nic.ShellConfig, packets
 	start := time.Now()
 	rep, err := sh.RunLoad(next, packets, offered)
 	return rep, time.Since(start).Seconds(), err
-}
-
-// runLoad builds a fresh shell (fresh map state — measurements must not
-// inherit a previous point's entries) and drives one load. offered 0
-// means line rate for 64-byte frames.
-func runLoad(pl *core.Pipeline, app *apps.App, cfg nic.ShellConfig, packets int, offered float64) (nic.Report, error) {
-	sh, err := nic.New(pl, cfg)
-	if err != nil {
-		return nic.Report{}, err
-	}
-	if err := app.Setup(sh.Maps()); err != nil {
-		return nic.Report{}, err
-	}
-	if offered <= 0 {
-		offered = sh.LineRateMpps(64) * 1e6
-	}
-	gen := pktgen.NewGenerator(app.Traffic)
-	return sh.RunLoad(gen.Next, packets, offered)
 }

@@ -1,6 +1,7 @@
 package benchreg
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -187,16 +188,28 @@ func TestRegressedFloor(t *testing.T) {
 	}
 }
 
+// TestSaveLoadRoundTrip: the header and every point of a collection
+// survive Save and Load bit-exactly. Compare runs on a synthetic
+// baseline: a live one would re-gate host rates, and the fast-path
+// floor does not hold when the race detector slows the two engines
+// unequally.
 func TestSaveLoadRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	roundTrip := func(b *Baseline) *Baseline {
+		t.Helper()
+		path := filepath.Join(dir, "baseline.json")
+		if err := Save(path, b); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+
 	b := collect(t)
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := Save(path, b); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := roundTrip(b)
 	if got.Schema != b.Schema || got.Packets != b.Packets || got.NumCPU != b.NumCPU {
 		t.Errorf("header mangled: %+v vs %+v", got, b)
 	}
@@ -208,11 +221,56 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			t.Errorf("%s: %v -> %v through JSON", k, v, got.Points[k])
 		}
 	}
-	if regs := Compare(b, got, 5); len(regs) != 0 {
+
+	synth := &Baseline{Schema: 1, Packets: 100, NumCPU: 2, Points: map[string]float64{
+		"fig9a/toy/mpps":     148.1,
+		KeyScalingToyQ1Mpps:  0.4,
+		KeyFastpathToyMpps:   6,
+		KeyFastpathSpeedup4Q: 4.5,
+	}}
+	if regs := Compare(synth, roundTrip(synth), 5); len(regs) != 0 {
 		t.Errorf("round-tripped baseline regressed against itself: %v", regs)
 	}
-	if _, err := Load(filepath.Join(t.TempDir(), "missing.json")); err == nil {
+
+	if _, err := Load(filepath.Join(dir, "missing.json")); err == nil {
 		t.Error("loading a missing baseline succeeded")
+	}
+}
+
+// TestFigurePointsMatchCommittedBaseline pins the baseline to the
+// experiments: at DefaultPackets the experiment points reproduce every
+// simulated point of the committed BENCH_baseline.json bit for bit,
+// with the same key set. bench-check holds only the "/mpps" points to
+// a tolerance, so this is the test that notices a latency, loss or
+// utilisation point drifting.
+func TestFigurePointsMatchCommittedBaseline(t *testing.T) {
+	base, err := Load(filepath.Join("..", "..", "BENCH_baseline.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Packets != DefaultPackets {
+		t.Fatalf("committed baseline measured %d packets/point, DefaultPackets is %d", base.Packets, DefaultPackets)
+	}
+	got, err := figurePoints(DefaultPackets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, want := range base.Points {
+		if strings.HasPrefix(k, "host/") {
+			continue
+		}
+		v, ok := got[k]
+		switch {
+		case !ok:
+			t.Errorf("%s: committed point not produced", k)
+		case math.Float64bits(v) != math.Float64bits(want):
+			t.Errorf("%s: %v, committed %v", k, v, want)
+		}
+	}
+	for k := range got {
+		if _, ok := base.Points[k]; !ok && !strings.HasPrefix(k, "host/") {
+			t.Errorf("%s: produced but not in the committed baseline", k)
+		}
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section 5 and the appendix) from the systems built in this
 // repository. Each experiment returns a Table that the ehdl-bench
-// binary prints and the benchmark suite asserts on.
+// binary prints, whose Points the regression baseline (internal/benchreg)
+// and the Go benchmark suite record, and whose shape the tests assert.
 //
 // Absolute numbers come from the calibrated simulator and cost models
 // (see DESIGN.md for the substitutions); the assertions and the paper
@@ -38,6 +39,12 @@ type Table struct {
 	Columns []string
 	Rows    [][]string
 	Notes   []string
+	// Points are the eHDL quantities the experiment measured, unrounded
+	// and keyed the way BENCH_baseline.json keys them
+	// ("<id>/<subject>/<quantity>"). Baseline systems (hXDP, BlueField,
+	// SDNet) appear only in Rows. Keys under "host/" are wall-clock
+	// figures; every other point is a simulated, reproducible quantity.
+	Points map[string]float64
 }
 
 // String renders the table as aligned text.
@@ -207,7 +214,7 @@ func maxStack(pl *core.Pipeline) int {
 // all systems at 148 Mpps offered (64-byte packets, 10k flows).
 func Fig9aThroughput(cfg Config) (Table, error) {
 	t := Table{ID: "fig9a", Title: "Throughput, Mpps at 100 Gbps / 64B (Figure 9a, log scale in the paper)",
-		Columns: []string{"Program", "eHDL", "SDNet", "hXDP", "Bf2 1c", "Bf2 4c"}}
+		Columns: []string{"Program", "eHDL", "SDNet", "hXDP", "Bf2 1c", "Bf2 4c"}, Points: map[string]float64{}}
 	n := cfg.packets()
 	for _, app := range apps.All() {
 		pl, err := compileApp(app, core.Options{})
@@ -227,6 +234,8 @@ func Fig9aThroughput(cfg Config) (Table, error) {
 		if err != nil {
 			return t, err
 		}
+		t.Points["fig9a/"+app.Name+"/mpps"] = rep.AchievedMpps
+		t.Points["fig9a/"+app.Name+"/lost"] = float64(rep.Lost)
 		ehdlCell := f1(rep.AchievedMpps)
 		if rep.Lost > 0 {
 			ehdlCell += fmt.Sprintf(" (%d lost)", rep.Lost)
@@ -259,10 +268,11 @@ func Fig9aThroughput(cfg Config) (Table, error) {
 	return t, nil
 }
 
-// Fig9bLatency measures forwarding latency for eHDL and hXDP.
+// Fig9bLatency measures forwarding latency for eHDL and hXDP at a
+// moderate 50 Mpps offered load, over half a measurement point's packets.
 func Fig9bLatency(cfg Config) (Table, error) {
 	t := Table{ID: "fig9b", Title: "Forwarding latency, nanoseconds (Figure 9b)",
-		Columns: []string{"Program", "eHDL avg", "eHDL max", "hXDP"}}
+		Columns: []string{"Program", "eHDL avg", "eHDL max", "hXDP"}, Points: map[string]float64{}}
 	for _, app := range apps.All() {
 		pl, err := compileApp(app, core.Options{})
 		if err != nil {
@@ -276,7 +286,7 @@ func Fig9bLatency(cfg Config) (Table, error) {
 			return t, err
 		}
 		gen := pktgen.NewGenerator(app.Traffic)
-		rep, err := sh.RunLoad(gen.Next, min(cfg.packets(), 1000), 50e6)
+		rep, err := sh.RunLoad(gen.Next, cfg.packets()/2, 50e6)
 		if err != nil {
 			return t, err
 		}
@@ -290,6 +300,7 @@ func Fig9bLatency(cfg Config) (Table, error) {
 		}
 		// hXDP latency includes the same shell FIFOs.
 		hxNs := hx.AvgLatencyNs + 160.0/250e6*1e9
+		t.Points["fig9b/"+app.Name+"/latency_ns"] = rep.AvgLatencyNs
 		t.Rows = append(t.Rows, []string{app.Name, f1(rep.AvgLatencyNs), f1(rep.MaxLatencyNs), f1(hxNs)})
 	}
 	t.Notes = append(t.Notes, "paper: about 1 microsecond for both systems; variation follows pipeline depth (Figure 9c)")
@@ -300,7 +311,7 @@ func Fig9bLatency(cfg Config) (Table, error) {
 // original instruction count.
 func Fig9cStages(Config) (Table, error) {
 	t := Table{ID: "fig9c", Title: "Pipeline stages vs instructions (Figure 9c)",
-		Columns: []string{"Program", "eHDL stages", "hXDP instr", "Original instr"}}
+		Columns: []string{"Program", "eHDL stages", "hXDP instr", "Original instr"}, Points: map[string]float64{}}
 	m := hxdp.New()
 	for _, app := range apps.All() {
 		pl, err := compileApp(app, core.Options{})
@@ -315,6 +326,7 @@ func Fig9cStages(Config) (Table, error) {
 		if err != nil {
 			return t, err
 		}
+		t.Points["fig9c/"+app.Name+"/stages"] = float64(pl.NumStages())
 		t.Rows = append(t.Rows, []string{
 			app.Name, istr(pl.NumStages()), istr(bundles), istr(len(pl.Prog.Instructions)),
 		})
@@ -326,7 +338,8 @@ func Fig9cStages(Config) (Table, error) {
 // Fig10Resources reports FPGA utilisation for the three systems.
 func Fig10Resources(Config) (Table, error) {
 	t := Table{ID: "fig10", Title: "FPGA resources on the Alveo U50, % (Figure 10, incl. Corundum)",
-		Columns: []string{"Program", "eHDL LUT", "eHDL FF", "eHDL BRAM", "hXDP LUT", "hXDP FF", "hXDP BRAM", "SDNet LUT", "SDNet FF", "SDNet BRAM"}}
+		Columns: []string{"Program", "eHDL LUT", "eHDL FF", "eHDL BRAM", "hXDP LUT", "hXDP FF", "hXDP BRAM", "SDNet LUT", "SDNet FF", "SDNet BRAM"},
+		Points:  map[string]float64{}}
 	dev := hdl.AlveoU50()
 	hx := hxdp.New().Resources().PercentOf(dev)
 	for _, app := range apps.All() {
@@ -335,6 +348,8 @@ func Fig10Resources(Config) (Table, error) {
 			return t, err
 		}
 		eh := hdl.EstimateDesign(pl).PercentOf(dev)
+		t.Points["fig10/"+app.Name+"/lut_pct"] = eh.LUT
+		t.Points["fig10/"+app.Name+"/bram_pct"] = eh.BRAM
 		sdLUT, sdFF, sdBRAM := "n/a", "n/a", "n/a"
 		if d, err := sdnet.Compile(app); err == nil {
 			sd := d.Resources().PercentOf(dev)
@@ -353,9 +368,13 @@ func Fig10Resources(Config) (Table, error) {
 // leaky bucket and counts losses and flush events.
 func Table2Flushing(cfg Config) (Table, error) {
 	t := Table{ID: "table2", Title: "Leaky bucket on real-world trace profiles (Table 2)",
-		Columns: []string{"Trace", "# lost packets", "# flushes/sec", "mean pkt B", "offered Mpps"}}
+		Columns: []string{"Trace", "# lost packets", "# flushes/sec", "mean pkt B", "offered Mpps"}, Points: map[string]float64{}}
 	app := apps.LeakyBucket()
-	for _, profile := range []pktgen.TraceProfile{pktgen.CAIDAProfile(), pktgen.MAWIProfile()} {
+	for _, tr := range []struct {
+		key     string
+		profile pktgen.TraceProfile
+	}{{"caida", pktgen.CAIDAProfile()}, {"mawi", pktgen.MAWIProfile()}} {
+		profile := tr.profile
 		pl, err := compileApp(app, core.Options{})
 		if err != nil {
 			return t, err
@@ -370,6 +389,8 @@ func Table2Flushing(cfg Config) (Table, error) {
 		if err != nil {
 			return t, err
 		}
+		t.Points["table2/"+tr.key+"/lost"] = float64(rep.Lost)
+		t.Points["table2/"+tr.key+"/flushes_per_s"] = rep.FlushesPerS
 		t.Rows = append(t.Rows, []string{
 			profile.Name, u64s(rep.Lost), f1(rep.FlushesPerS), f1(trace.MeanLen()), f1(offered / 1e6),
 		})
@@ -447,13 +468,18 @@ func PruningAblation(Config) (Table, error) {
 		return t, err
 	}
 	a, b := hdl.EstimatePipeline(pruned), hdl.EstimatePipeline(unpruned)
+	dLUT := 100 * float64(b.LUTs-a.LUTs) / float64(a.LUTs)
+	dFF := 100 * float64(b.FFs-a.FFs) / float64(a.FFs)
+	dBRAM := 100 * float64(b.BRAM36-a.BRAM36) / float64(max(a.BRAM36, 1))
 	t.Rows = append(t.Rows,
 		[]string{"pruned", istr(a.LUTs), istr(a.FFs), istr(a.BRAM36)},
 		[]string{"unpruned", istr(b.LUTs), istr(b.FFs), istr(b.BRAM36)},
-		[]string{"delta %",
-			f1(100 * float64(b.LUTs-a.LUTs) / float64(a.LUTs)),
-			f1(100 * float64(b.FFs-a.FFs) / float64(a.FFs)),
-			f1(100 * float64(b.BRAM36-a.BRAM36) / float64(max(a.BRAM36, 1)))})
+		[]string{"delta %", f1(dLUT), f1(dFF), f1(dBRAM)})
+	t.Points = map[string]float64{
+		"pruning/unpruned/lut_delta_pct":  dLUT,
+		"pruning/unpruned/ff_delta_pct":   dFF,
+		"pruning/unpruned/bram_delta_pct": dBRAM,
+	}
 	t.Notes = append(t.Notes, "paper: +46% LUTs, +66% FFs, +123% BRAM without pruning")
 	return t, nil
 }
@@ -481,7 +507,7 @@ func PowerMeasurement(Config) (Table, error) {
 // hazard geometries.
 func Table3Analytic(Config) (Table, error) {
 	t := Table{ID: "table3", Title: "Analytic pipeline throughput at 50k Zipfian flows (Table 3)",
-		Columns: []string{"Program", "K", "L", "Tp Mpps"}}
+		Columns: []string{"Program", "K", "L", "Tp Mpps"}, Points: map[string]float64{}}
 	var inputs []struct {
 		Name       string
 		K, L       int
@@ -515,6 +541,7 @@ func Table3Analytic(Config) (Table, error) {
 		tp := "N/A"
 		if row.TpMpps > 0 {
 			tp = f1(row.TpMpps)
+			t.Points["table3/"+row.Program+"/tp_mpps"] = row.TpMpps
 		}
 		t.Rows = append(t.Rows, []string{row.Program, istr(row.K), istr(row.L), tp})
 	}
@@ -525,8 +552,9 @@ func Table3Analytic(Config) (Table, error) {
 // Table4Analytic evaluates equation (3) for the paper's parameters.
 func Table4Analytic(Config) (Table, error) {
 	t := Table{ID: "table4", Title: "Max flushable stages sustaining 148 Mpps, Zipf 50k flows (Table 4)",
-		Columns: []string{"L", "Pf^Z %", "Kmax"}}
+		Columns: []string{"L", "Pf^Z %", "Kmax"}, Points: map[string]float64{}}
 	for _, row := range analytic.Table4() {
+		t.Points[fmt.Sprintf("table4/l%d/kmax", row.L)] = row.KMax
 		t.Rows = append(t.Rows, []string{istr(row.L), f2(row.PfZ * 100), f1(row.KMax)})
 	}
 	t.Notes = append(t.Notes, "paper: L=2 -> 1%/61; L=3 -> 3%/21; L=4 -> 6%/11; L=5 -> 10%/7")
@@ -536,13 +564,15 @@ func Table4Analytic(Config) (Table, error) {
 // Table5ILP reports the scheduler's instruction-level parallelism.
 func Table5ILP(Config) (Table, error) {
 	t := Table{ID: "table5", Title: "Instruction-level parallelism (Table 5 / Appendix A.3)",
-		Columns: []string{"Program", "max ILP", "avg ILP"}}
+		Columns: []string{"Program", "max ILP", "avg ILP"}, Points: map[string]float64{}}
 	for _, app := range apps.All() {
 		pl, err := compileApp(app, core.Options{})
 		if err != nil {
 			return t, err
 		}
 		maxILP, avgILP := pl.ILP()
+		t.Points["table5/"+app.Name+"/max_ilp"] = float64(maxILP)
+		t.Points["table5/"+app.Name+"/avg_ilp"] = avgILP
 		t.Rows = append(t.Rows, []string{app.Name, istr(maxILP), f2(avgILP)})
 	}
 	t.Notes = append(t.Notes, "paper: max 3-15 (tunnel widest), avg 1.42-2.37")
@@ -553,7 +583,7 @@ func Table5ILP(Config) (Table, error) {
 // the design decision of Section 4.1.2.
 func HazardPolicyAblation(cfg Config) (Table, error) {
 	t := Table{ID: "hazard", Title: "RAW hazard handling: flush vs conservative stall (Section 4.1.2)",
-		Columns: []string{"Policy", "Cycles", "Flushes", "Stall cycles", "Mpps"}}
+		Columns: []string{"Policy", "Cycles", "Flushes", "Stall cycles", "Mpps"}, Points: map[string]float64{}}
 	app := apps.LeakyBucket()
 	traffic := app.Traffic
 	traffic.Flows = 100000
@@ -589,6 +619,7 @@ func HazardPolicyAblation(cfg Config) (Table, error) {
 		if policy == hwsim.PolicyStall {
 			name = "stall"
 		}
+		t.Points["hazard/"+name+"/mpps"] = st.Mpps(250e6)
 		t.Rows = append(t.Rows, []string{name, u64s(st.Cycles), u64s(st.Flushes), u64s(st.StallCycles), f1(st.Mpps(250e6))})
 	}
 	t.Notes = append(t.Notes, "the paper rejects stalling: it costs throughput regardless of actual hazards")
@@ -828,18 +859,4 @@ func LiveUpdateUnderLoad(cfg Config) (Table, error) {
 		fmt.Sprintf("updatable firewall prices %.2f%% max utilisation on the U50, +%.2f pts over the static design (double-buffered maps + reconfiguration controller)",
 			upd.Max(), upd.Max()-base.Max()))
 	return t, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

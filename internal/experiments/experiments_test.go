@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -381,5 +383,34 @@ func TestScalingShape(t *testing.T) {
 	}
 	if active := cellF(t, tab, 3, "Active"); active < 2 {
 		t.Errorf("8 queues but only %v active", active)
+	}
+}
+
+// TestPointsMatchRenderedCells: every point agrees with the cell that
+// renders the same quantity, to the cell's rounding, so the baseline
+// and the printed table never tell two stories.
+func TestPointsMatchRenderedCells(t *testing.T) {
+	cases := []struct{ id, col, key string }{
+		{"fig9a", "eHDL", "fig9a/%s/mpps"},
+		{"fig9b", "eHDL avg", "fig9b/%s/latency_ns"},
+		{"fig9c", "eHDL stages", "fig9c/%s/stages"},
+		{"fig10", "eHDL LUT", "fig10/%s/lut_pct"},
+		{"fig10", "eHDL BRAM", "fig10/%s/bram_pct"},
+		{"table5", "avg ILP", "table5/%s/avg_ilp"},
+		{"scaling", "Achieved Mpps", "scaling/toy/q%s/mpps"},
+	}
+	for _, c := range cases {
+		tab := run(t, c.id)
+		for i, row := range tab.Rows {
+			k := fmt.Sprintf(c.key, row[0])
+			v, ok := tab.Points[k]
+			if !ok {
+				t.Errorf("%s: point %s missing", c.id, k)
+				continue
+			}
+			if cellV := cellF(t, tab, i, c.col); math.Abs(cellV-v) > 0.05 {
+				t.Errorf("%s: point %s = %v, cell %q shows %v", c.id, k, v, c.col, cellV)
+			}
+		}
 	}
 }

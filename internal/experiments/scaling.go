@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"time"
 
 	"ehdl/internal/apps"
 	"ehdl/internal/core"
@@ -19,9 +20,15 @@ var ScalingQueues = []int{1, 2, 4, 8}
 // forwards at most one packet per cycle, 250 Mpps) and reports whether
 // the fleet absorbs it, alongside the FPGA cost of stamping out that
 // many firewall replicas.
+//
+// Each point is also timed on the host, from shell build through the
+// end of RunLoad, into the "host/scaling/toy/q<N>/mpps" points: the
+// single-queue one, served by the interpreter, is the rate the
+// regression baseline's fast-path gate divides by.
 func Scaling(cfg Config) (Table, error) {
 	t := Table{ID: "scaling", Title: "Multi-queue RSS scale-out (toy pipeline, 85% aggregate load)",
-		Columns: []string{"Queues", "Offered Mpps", "Achieved Mpps", "Speedup", "Lost", "Active", "fw LUT%"}}
+		Columns: []string{"Queues", "Offered Mpps", "Achieved Mpps", "Speedup", "Lost", "Active", "fw LUT%"},
+		Points:  map[string]float64{}}
 	app := apps.Toy()
 	pl, err := compileApp(app, core.Options{})
 	if err != nil {
@@ -35,6 +42,7 @@ func Scaling(cfg Config) (Table, error) {
 	n := cfg.packets()
 	var base float64
 	for _, q := range ScalingQueues {
+		start := time.Now()
 		sh, err := nic.New(pl, nic.ShellConfig{Queues: q, FastPath: cfg.FastPath, Sim: hwsim.Config{InputQueuePackets: 64}})
 		if err != nil {
 			return t, err
@@ -48,6 +56,11 @@ func Scaling(cfg Config) (Table, error) {
 		if err != nil {
 			return t, err
 		}
+		if wall := time.Since(start).Seconds(); wall > 0 {
+			t.Points[fmt.Sprintf("host/scaling/toy/q%d/mpps", q)] = float64(rep.Received) / wall / 1e6
+		}
+		t.Points[fmt.Sprintf("scaling/toy/q%d/mpps", q)] = rep.AchievedMpps
+		t.Points[fmt.Sprintf("scaling/toy/q%d/lost", q)] = float64(rep.Lost)
 		if base == 0 {
 			base = rep.AchievedMpps
 		}
@@ -66,6 +79,12 @@ func Scaling(cfg Config) (Table, error) {
 			fmt.Sprintf("%.2fx", rep.AchievedMpps/base), u64s(rep.Lost),
 			istr(active), f1(lut),
 		})
+	}
+	if q1 := t.Points["scaling/toy/q1/mpps"]; q1 > 0 {
+		t.Points["scaling/toy/speedup_4q"] = t.Points["scaling/toy/q4/mpps"] / q1
+	}
+	if h1 := t.Points["host/scaling/toy/q1/mpps"]; h1 > 0 {
+		t.Points["host/scaling/toy/speedup_4q"] = t.Points["host/scaling/toy/q4/mpps"] / h1
 	}
 	t.Notes = append(t.Notes,
 		"100GbE at 64B is 148.8 Mpps: one 250 MHz replica covers it; the sweep sizes 200/400GbE deployments",

@@ -24,6 +24,7 @@ type multiAgg struct {
 	cycles    uint64
 	conflicts uint64
 	fallbacks uint64
+	bytes     uint64
 }
 
 func (a *multiAgg) add(rs rss.RunStats) {
@@ -38,6 +39,7 @@ func (a *multiAgg) add(rs rss.RunStats) {
 	a.cycles += rs.MaxCycles
 	a.conflicts += rs.MergeConflicts
 	a.fallbacks += rs.FallbackSteers
+	a.bytes += rs.AcceptedBytes
 }
 
 // stats sums the per-queue counters of every session.
@@ -50,12 +52,13 @@ func (a *multiAgg) stats() hwsim.Stats {
 }
 
 // runLoadMulti is RunLoad for the multi-queue shell: the caller's
-// goroutine generates and classifies arrivals, one worker goroutine per
-// replica paces and executes them against the shared simulated clock,
-// and the collector folds completions into the report. Simulated
-// results are deterministic regardless of host scheduling because every
-// packet's entry cycle is stamped by the dispatcher before it crosses a
-// channel.
+// goroutine generates and classifies arrivals, and one worker goroutine
+// per replica paces and executes them against the shared simulated
+// clock. The report comes out of the replica counters and the bytes
+// each worker accepted at ingress, so no per-packet completion crosses
+// a goroutine. Simulated results are deterministic regardless of host
+// scheduling because every packet's entry cycle is stamped by the
+// dispatcher before it crosses a channel.
 func (sh *Shell) runLoadMulti(next func() []byte, count int, offeredPps float64) (Report, error) {
 	ctx, endTask := obs.Task(context.Background(), "nic.RunLoadMulti")
 	defer endTask()
@@ -74,13 +77,7 @@ func (sh *Shell) runLoadMulti(next func() []byte, count int, offeredPps float64)
 		next = sh.inj.WrapTraffic(next)
 	}
 
-	// dispatch runs on the collector goroutine; Drain's join publishes
-	// the byte count. Everything else comes out of the replica counters.
-	dispatch := func(c rss.Completion) {
-		in.bytesOut += uint64(c.PktLen)
-	}
-
-	if err := sh.engine.Start(cyclesPerPacket, dispatch); err != nil {
+	if err := sh.engine.Start(cyclesPerPacket, sh.onRetire); err != nil {
 		return rep, err
 	}
 
@@ -93,7 +90,7 @@ func (sh *Shell) runLoadMulti(next func() []byte, count int, offeredPps float64)
 			p := sh.pending
 			sh.pending = nil
 			rep.UpdatesAttempted++
-			held, err := sh.swapEngine(&rep, &agg, p.cfg, cyclesPerPacket, dispatch)
+			held, err := sh.swapEngine(&rep, &agg, p.cfg, cyclesPerPacket)
 			if err != nil {
 				if _, ok := err.(*liveupdate.UpdateError); !ok {
 					// Not an update failure: the engine itself broke.
@@ -159,6 +156,7 @@ func (sh *Shell) runLoadMulti(next func() []byte, count int, offeredPps float64)
 	// Replicas run concurrently in hardware: the run's wall-clock is
 	// the slowest session chain, so throughput uses agg.cycles (the
 	// session maxima), not the per-queue sum.
+	in.bytesOut = agg.bytes
 	sh.closeReport(&rep, agg.stats(), agg.cycles, offeredPps, in)
 	return rep, nil
 }
@@ -173,7 +171,7 @@ func (sh *Shell) runLoadMulti(next func() []byte, count int, offeredPps float64)
 // Returns the number of arrivals that would have landed during the
 // cutover drain window; the caller releases them into the serving
 // engine first, preserving arrival order.
-func (sh *Shell) swapEngine(rep *Report, agg *multiAgg, ucfg liveupdate.Config, cyclesPerPacket float64, dispatch func(rss.Completion)) (held int, err error) {
+func (sh *Shell) swapEngine(rep *Report, agg *multiAgg, ucfg liveupdate.Config, cyclesPerPacket float64) (held int, err error) {
 	old := sh.engine
 
 	// Quiesce: stop offering, run every replica dry. After Drain the
@@ -196,7 +194,7 @@ func (sh *Shell) swapEngine(rep *Report, agg *multiAgg, ucfg liveupdate.Config, 
 		rep.UpdateStage = liveupdate.StageRolledBack.String()
 		rep.UpdateFailure = ue.Error()
 		// The old replicas still hold their state; resume serving.
-		if serr := old.Start(cyclesPerPacket, dispatch); serr != nil {
+		if serr := old.Start(cyclesPerPacket, sh.onRetire); serr != nil {
 			return 0, serr
 		}
 		sh.engine = old
@@ -241,7 +239,7 @@ func (sh *Shell) swapEngine(rep *Report, agg *multiAgg, ucfg liveupdate.Config, 
 	if sh.pinned != nil {
 		eng.SetClock(sh.pinnedNow)
 	}
-	if serr := eng.Start(cyclesPerPacket, dispatch); serr != nil {
+	if serr := eng.Start(cyclesPerPacket, sh.onRetire); serr != nil {
 		return rollback(liveupdate.StageCutover, serr)
 	}
 	sh.engine = eng

@@ -3,6 +3,8 @@ package nic
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"ehdl/internal/apps"
@@ -14,6 +16,7 @@ import (
 	"ehdl/internal/liveupdate"
 	"ehdl/internal/maps"
 	"ehdl/internal/pktgen"
+	"ehdl/internal/rss"
 )
 
 func TestMultiQueueRunLoad(t *testing.T) {
@@ -368,5 +371,84 @@ func TestMultiQueueChaos(t *testing.T) {
 	}
 	if rep.MalformedDropped == 0 {
 		t.Error("no malformed frame was bounds-checked into a drop")
+	}
+}
+
+// TestMultiQueueReportMatchesCompletionLedger: serving counts bytes as
+// the workers accept them and runs no completion collector. Its report
+// must equal a reference run of an identical shell that registers a
+// completion callback, with the reference's throughput recomputed from
+// the bytes that callback summed. Covers 2 and 4 queues on CAIDA
+// traffic, ingress overflow bursts (frames refused at ingress must not
+// count) and a scheduled live update (the engine swap's drain and
+// restart).
+func TestMultiQueueReportMatchesCompletionLedger(t *testing.T) {
+	const count = 3000
+	app := apps.Firewall()
+	prog, err := app.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := pktgen.CAIDAProfile()
+	p.Seed = 3
+	pool := pktgen.NewTrace(p).Batch(count + count/4)
+	pps := pktgen.LineRatePPS(100e9, p.MeanPacketLen)
+
+	cases := []struct {
+		name   string
+		faults faults.Config
+		update bool
+	}{
+		{name: "caida"},
+		{name: "overflow", faults: faults.Config{Seed: 7, OverflowRate: 0.02, OverflowBurstLen: 64}},
+		{name: "update", update: true},
+	}
+	for _, queues := range []int{2, 4} {
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("q%d/%s", queues, tc.name), func(t *testing.T) {
+				run := func(ledger *uint64) Report {
+					t.Helper()
+					sh := newShell(t, app, core.Options{}, ShellConfig{
+						Queues: queues, FastPath: true, Faults: tc.faults,
+						Sim: hwsim.Config{InputQueuePackets: 16},
+					})
+					if ledger != nil {
+						sh.onRetire = func(c rss.Completion) { *ledger += uint64(c.PktLen) }
+					}
+					if tc.update {
+						if err := sh.ScheduleUpdate(count/2, liveupdate.Config{Prog: prog, Setup: app.SetupHost}); err != nil {
+							t.Fatal(err)
+						}
+					}
+					i := 0
+					next := func() []byte { i++; return pool[(i-1)%len(pool)] }
+					rep, err := sh.RunLoad(next, count, pps)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return rep
+				}
+				var retired uint64
+				got, ref := run(nil), run(&retired)
+				seconds := float64(ref.Cycles) / ShellConfig{}.clockHz()
+				wantGbps := float64(retired+20*ref.Received) * 8 / seconds / 1e9
+				if got.AchievedGbps != wantGbps || got.AchievedGbps != ref.AchievedGbps {
+					t.Errorf("AchievedGbps %v, reference %v from %d retired bytes (reference report %v)",
+						got.AchievedGbps, wantGbps, retired, ref.AchievedGbps)
+				}
+				if got.Received != ref.Received || !reflect.DeepEqual(got.Actions, ref.Actions) {
+					t.Errorf("received %d actions %v, reference %d %v", got.Received, got.Actions, ref.Received, ref.Actions)
+				}
+				if !reflect.DeepEqual(got.PerQueue, ref.PerQueue) {
+					t.Errorf("per-queue %+v, reference %+v", got.PerQueue, ref.PerQueue)
+				}
+				if tc.faults.OverflowRate > 0 && (got.OverflowBursts == 0 || got.Lost == 0) {
+					t.Errorf("overflow case refused nothing at ingress: %d bursts, %d lost", got.OverflowBursts, got.Lost)
+				}
+				if tc.update && got.UpdatesCompleted != 1 {
+					t.Errorf("update case completed %d updates, want 1", got.UpdatesCompleted)
+				}
+			})
+		}
 	}
 }

@@ -102,6 +102,10 @@ type Shell struct {
 
 	// engine is the multi-queue RSS scale-out (nil when Queues <= 1).
 	engine *rss.Engine
+	// onRetire, when set, receives every multi-queue completion from
+	// the engine's collector goroutine. Serving leaves it nil, so no
+	// collector runs; tests set it to keep a per-packet ledger.
+	onRetire func(rss.Completion)
 
 	// Master clock state: helper-visible time survives pipeline swaps.
 	// cycleBase is the cycle count retired pipelines accumulated before
@@ -618,7 +622,7 @@ type arrivals struct {
 	// ingress overflow bursts' frames on top of them.
 	paced, extra int
 	// bytesIn is every offered frame's length, bytesOut the accepted
-	// (or, multi-queue, retired) frames'.
+	// frames'.
 	bytesIn, bytesOut uint64
 	// faults is the injector's counters at the start of the run.
 	faults faults.Counters

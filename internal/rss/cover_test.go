@@ -1,10 +1,12 @@
 package rss
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"ehdl/internal/ebpf"
+	"ehdl/internal/hwsim"
 	"ehdl/internal/maps"
 	"ehdl/internal/obs"
 	"ehdl/internal/pktgen"
@@ -185,5 +187,67 @@ func TestBankedHostWritesAfterSeal(t *testing.T) {
 	}
 	if err := b.Delete(k1); err == nil {
 		t.Error("double delete should surface bank 0's error")
+	}
+}
+
+// TestNewEngineRejectsShortKey: a key too short for a 4-tuple fails at
+// construction with the hasher's typed error, before any replica or
+// bank is built, not at the first Start.
+func TestNewEngineRejectsShortKey(t *testing.T) {
+	_, err := NewEngine(compileApp(t, "toy"), Config{Queues: 2, Key: make([]byte, 8)})
+	var ke *KeyError
+	if !errors.As(err, &ke) || ke.Len != 8 {
+		t.Fatalf("NewEngine with an 8-byte key: err %v, want a *KeyError for 8 bytes", err)
+	}
+}
+
+// TestEngineLedgerWithoutCollector: a session with no completion
+// callback runs no collector, yet its accepted bytes equal the bytes a
+// callback sums over the same traffic, and the per-queue completion
+// counters still count every retirement. Both sessions run on one
+// engine, so the second reuses the first's recycled batches.
+func TestEngineLedgerWithoutCollector(t *testing.T) {
+	const count = 600
+	reg := obs.NewRegistry()
+	e, err := NewEngine(compileApp(t, "toy"), Config{Queues: 2, Batch: 8, Sim: hwsim.Config{Metrics: reg}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	setupApp(t, "toy", e.HostMaps())
+	gcfg := pktgen.GeneratorConfig{Flows: 32, PacketLen: 64, Seed: 4}
+	var offered uint64
+	session := func(onComplete func(Completion)) RunStats {
+		t.Helper()
+		if err := e.Start(1, onComplete); err != nil {
+			t.Fatal(err)
+		}
+		gen := pktgen.NewGenerator(gcfg)
+		offered = 0
+		for i := 0; i < count; i++ {
+			pkt := gen.Next()
+			offered += uint64(len(pkt))
+			e.Offer(pkt)
+		}
+		rs, err := e.Drain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs
+	}
+
+	var retired uint64
+	withCB := session(func(c Completion) { retired += uint64(c.PktLen) })
+	plain := session(nil)
+	if withCB.AcceptedBytes != retired || plain.AcceptedBytes != retired || retired != offered {
+		t.Errorf("accepted %d (callback session) and %d (plain), retired %d, offered %d",
+			withCB.AcceptedBytes, plain.AcceptedBytes, retired, offered)
+	}
+	var completed uint64
+	for q := 0; q < 2; q++ {
+		v, _ := reg.CounterValue(MetricCompleted(q))
+		completed += v
+	}
+	if completed != 2*count {
+		t.Errorf("completion counters sum to %d over two sessions, want %d", completed, 2*count)
 	}
 }

@@ -76,8 +76,36 @@ type Dispatcher struct {
 	paced     uint64
 	fallbacks uint64
 	perQueue  []uint64
-	buf      [][]Item
-	sinks    []chan []Item
+	buf       [][]Item
+	sinks     []chan []Item
+	// free returns consumed batches from each queue's worker, so a
+	// flush reuses a backing array instead of allocating one.
+	free []chan []Item
+}
+
+// sinkDepth is the per-queue channel depth in batches: enough for the
+// dispatcher to run ahead without unbounded memory.
+const sinkDepth = 4
+
+// newFreeLists builds one recycled-batch list per queue. Each holds
+// every batch a queue can have in circulation (its sink, the worker's
+// and the dispatcher's), so a consumed batch is never dropped.
+func newFreeLists(queues int) []chan []Item {
+	free := make([]chan []Item, queues)
+	for q := range free {
+		free[q] = make(chan []Item, sinkDepth+2)
+	}
+	return free
+}
+
+// recycle hands a consumed batch back to its queue's free list. The
+// frames are cleared so an idle batch keeps none alive.
+func recycle(free chan<- []Item, batch []Item) {
+	clear(batch)
+	select {
+	case free <- batch[:0]:
+	default:
+	}
 }
 
 // NewDispatcher builds the classifier and its per-queue channels. The
@@ -88,6 +116,12 @@ func NewDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newDispatcher(cfg, h, newFreeLists(max(cfg.Queues, 0)))
+}
+
+// newDispatcher builds a dispatcher around an existing hasher and one
+// recycled-batch list per queue (an engine keeps both across sessions).
+func newDispatcher(cfg DispatcherConfig, h *Hasher, free []chan []Item) (*Dispatcher, error) {
 	ind, err := NewIndirection(cfg.Queues)
 	if err != nil {
 		return nil, err
@@ -107,10 +141,11 @@ func NewDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
 		cpp:      cpp,
 		trace:    cfg.Trace,
 		perQueue: make([]uint64, cfg.Queues),
+		free:     free,
 	}
 	for q := 0; q < cfg.Queues; q++ {
-		d.buf = append(d.buf, make([]Item, 0, batch))
-		d.sinks = append(d.sinks, make(chan []Item, 4))
+		d.buf = append(d.buf, d.fresh(q))
+		d.sinks = append(d.sinks, make(chan []Item, sinkDepth))
 		if cfg.Metrics != nil {
 			d.steered = append(d.steered, cfg.Metrics.Counter(MetricSteered(q)))
 		}
@@ -205,22 +240,31 @@ func (d *Dispatcher) flush(queue int) {
 	if len(d.buf[queue]) == 0 {
 		return
 	}
-	b := d.buf[queue]
-	d.buf[queue] = make([]Item, 0, d.batch)
-	d.sinks[queue] <- b
+	d.sinks[queue] <- d.buf[queue]
+	d.buf[queue] = d.fresh(queue)
 }
 
-// FlushAll pushes every partial batch out.
-func (d *Dispatcher) FlushAll() {
-	for q := range d.buf {
-		d.flush(q)
+// fresh returns an empty batch for queue: a recycled one when its
+// worker has returned any, a new one otherwise.
+func (d *Dispatcher) fresh(queue int) []Item {
+	select {
+	case b := <-d.free[queue]:
+		return b
+	default:
+		return make([]Item, 0, d.batch)
 	}
 }
 
-// Close flushes and closes the sinks; the workers drain and exit.
+// Close flushes and closes the sinks; the workers drain and exit. An
+// empty batch goes back to its free list rather than being dropped.
 func (d *Dispatcher) Close() {
-	d.FlushAll()
-	for _, c := range d.sinks {
+	for q, c := range d.sinks {
+		if b := d.buf[q]; len(b) > 0 {
+			c <- b
+		} else {
+			recycle(d.free[q], b)
+		}
+		d.buf[q] = nil
 		close(c)
 	}
 }

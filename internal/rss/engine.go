@@ -94,6 +94,11 @@ type RunStats struct {
 	// MaxCycles is the longest replica session in cycles: hardware
 	// replicas run concurrently, so this is the run's wall-clock.
 	MaxCycles uint64
+	// AcceptedBytes sums the lengths of the frames the replicas
+	// accepted at ingress (the single-queue loop's byte count). Every
+	// accepted frame retires, so once the session drains this is also
+	// the retired bytes.
+	AcceptedBytes uint64
 }
 
 // replica is one pipeline copy and its worker-session state. The
@@ -106,12 +111,14 @@ type replica struct {
 
 	// globalSeq maps the replica-local injection sequence of an
 	// in-flight packet to its global arrival index and frame length.
-	// Touched only by the worker goroutine.
+	// Kept only while a completion callback is registered; touched only
+	// by the worker goroutine.
 	globalSeq map[uint64]inflight
 
 	// Session state, reset by Start.
 	cycleBase uint64
 	statsBase hwsim.Stats
+	bytes     uint64
 	endCycles uint64
 	endStats  hwsim.Stats
 	runErr    error
@@ -140,6 +147,11 @@ type Engine struct {
 	sealed   bool
 	running  bool
 
+	// hasher and free outlive sessions: the hash table is built once,
+	// and hand-off batches recycle across every Start..Drain.
+	hasher *Hasher
+	free   []chan []Item
+
 	disp        *Dispatcher
 	completions chan []Completion
 	workerWG    sync.WaitGroup
@@ -158,12 +170,18 @@ const defaultDrainBound = 4_000_000
 // returned engine's HostMaps set is ready for application setup; call
 // Start before offering traffic.
 func NewEngine(pl *core.Pipeline, cfg Config) (*Engine, error) {
+	hasher, err := NewHasher(cfg.Key)
+	if err != nil {
+		return nil, err
+	}
 	n := cfg.queues()
 	e := &Engine{
 		pl:         pl,
 		cfg:        cfg,
 		bankeds:    map[int]*banked{},
 		drainBound: defaultDrainBound,
+		hasher:     hasher,
+		free:       newFreeLists(n),
 	}
 
 	prog := pl.Prog
@@ -301,10 +319,10 @@ func (e *Engine) Sharing(id int) Sharing {
 }
 
 // Start seals host setup (first call), builds the dispatcher for the
-// offered rate and launches one worker per replica plus the completion
-// collector. onComplete, when non-nil, is invoked from the collector
-// goroutine — per-queue completion order is preserved, queues
-// interleave.
+// offered rate and launches one worker per replica. onComplete, when
+// non-nil, is invoked from a completion collector goroutine — per-queue
+// completion order is preserved, queues interleave. Without it no
+// collector runs and the workers build no completions at all.
 func (e *Engine) Start(cyclesPerPacket float64, onComplete func(Completion)) error {
 	if e.running {
 		return fmt.Errorf("rss: engine already running")
@@ -315,31 +333,33 @@ func (e *Engine) Start(cyclesPerPacket float64, onComplete func(Completion)) err
 		}
 		e.sealed = true
 	}
-	disp, err := NewDispatcher(DispatcherConfig{
+	disp, err := newDispatcher(DispatcherConfig{
 		Queues:          len(e.replicas),
 		Batch:           e.cfg.batch(),
-		Key:             e.cfg.Key,
 		CyclesPerPacket: cyclesPerPacket,
 		Trace:           e.cfg.Sim.Trace,
 		Metrics:         e.cfg.Sim.Metrics,
-	})
+	}, e.hasher, e.free)
 	if err != nil {
 		return err
 	}
 	e.disp = disp
 	e.onComplete = onComplete
-	e.completions = make(chan []Completion, 2*len(e.replicas))
 	e.running = true
+	if onComplete != nil {
+		e.completions = make(chan []Completion, 2*len(e.replicas))
+		e.collectWG.Add(1)
+		go e.collect()
+	}
 
 	for _, r := range e.replicas {
 		r.cycleBase = r.sim.Cycle()
 		r.statsBase = r.sim.StatsBase()
+		r.bytes = 0
 		r.runErr = nil
 		e.workerWG.Add(1)
-		go e.worker(r, disp.Sink(r.idx))
+		go e.worker(r, disp.Sink(r.idx), e.free[r.idx])
 	}
-	e.collectWG.Add(1)
-	go e.collect()
 	return nil
 }
 
@@ -353,35 +373,53 @@ func (e *Engine) Offer(pkt []byte) int { return e.disp.Offer(pkt) }
 func (e *Engine) OfferBurst(pkt []byte) int { return e.disp.OfferBurst(pkt) }
 
 // worker drives one replica: it paces each item to its global due
-// cycle, injects it, and streams completion batches to the collector.
-// On a simulator error it keeps draining the channel (so the
-// dispatcher never blocks) and reports the error at Drain.
-func (e *Engine) worker(r *replica, in <-chan []Item) {
+// cycle, injects it, counts the accepted bytes and hands each consumed
+// batch back to the dispatcher through free. With a completion
+// callback it also streams completion batches to the collector. On a
+// simulator error it keeps draining the channel (so the dispatcher
+// never blocks) and reports the error at Drain.
+func (e *Engine) worker(r *replica, in <-chan []Item, free chan<- []Item) {
 	defer e.workerWG.Done()
 	sim := r.sim
+	var completed *obs.Counter
+	if e.completed != nil {
+		completed = e.completed[r.idx]
+	}
+	track := e.onComplete != nil
 	batch := e.cfg.batch()
-	buf := make([]Completion, 0, batch)
+	var buf []Completion
 	flush := func() {
 		if len(buf) > 0 {
 			e.completions <- buf
 			buf = make([]Completion, 0, batch)
 		}
 	}
-	sim.OnComplete(func(res hwsim.Result) {
-		fl := r.globalSeq[res.Seq]
-		delete(r.globalSeq, res.Seq)
-		buf = append(buf, Completion{Queue: r.idx, Seq: fl.seq, PktLen: fl.pktLen, Res: res})
-		if len(buf) >= batch {
-			flush()
-		}
-	})
+	switch {
+	case track:
+		buf = make([]Completion, 0, batch)
+		sim.OnComplete(func(res hwsim.Result) {
+			if completed != nil {
+				completed.Inc()
+			}
+			fl := r.globalSeq[res.Seq]
+			delete(r.globalSeq, res.Seq)
+			buf = append(buf, Completion{Queue: r.idx, Seq: fl.seq, PktLen: fl.pktLen, Res: res})
+			if len(buf) >= batch {
+				flush()
+			}
+		})
+	case completed != nil:
+		sim.OnComplete(func(hwsim.Result) { completed.Inc() })
+	}
 	defer sim.OnComplete(nil)
 
 	for items := range in {
-		if r.runErr != nil {
-			continue // discard: keep the dispatcher unblocked
-		}
+		// After an error the items are discarded: the dispatcher must
+		// never block.
 		for _, it := range items {
+			if r.runErr != nil {
+				break
+			}
 			for sim.Cycle()-r.cycleBase < it.Due {
 				if err := sim.Step(); err != nil {
 					r.runErr = err
@@ -393,9 +431,13 @@ func (e *Engine) worker(r *replica, in <-chan []Item) {
 			}
 			seq := sim.NextSeq()
 			if sim.Inject(it.Data) {
-				r.globalSeq[seq] = inflight{seq: it.Seq, pktLen: len(it.Data)}
+				r.bytes += uint64(len(it.Data))
+				if track {
+					r.globalSeq[seq] = inflight{seq: it.Seq, pktLen: len(it.Data)}
+				}
 			}
 		}
+		recycle(free, items)
 	}
 	if r.runErr == nil {
 		// Drain: run the tail out. The bound is a backstop, not a
@@ -410,17 +452,12 @@ func (e *Engine) worker(r *replica, in <-chan []Item) {
 }
 
 // collect fans per-replica completion batches into the caller's
-// callback and the per-queue metrics.
+// callback.
 func (e *Engine) collect() {
 	defer e.collectWG.Done()
 	for batch := range e.completions {
 		for _, c := range batch {
-			if e.completed != nil {
-				e.completed[c.Queue].Inc()
-			}
-			if e.onComplete != nil {
-				e.onComplete(c)
-			}
+			e.onComplete(c)
 		}
 	}
 }
@@ -435,8 +472,11 @@ func (e *Engine) Drain() (RunStats, error) {
 	}
 	e.disp.Close()
 	e.workerWG.Wait()
-	close(e.completions)
-	e.collectWG.Wait()
+	if e.completions != nil {
+		close(e.completions)
+		e.collectWG.Wait()
+		e.completions = nil
+	}
 	e.running = false
 
 	var rs RunStats
@@ -450,6 +490,7 @@ func (e *Engine) Drain() (RunStats, error) {
 			Stats:   r.endStats.Delta(r.statsBase),
 		}
 		rs.PerQueue = append(rs.PerQueue, qs)
+		rs.AcceptedBytes += r.bytes
 		if qs.Cycles > rs.MaxCycles {
 			rs.MaxCycles = qs.Cycles
 		}

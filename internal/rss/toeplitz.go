@@ -19,6 +19,7 @@ package rss
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"ehdl/internal/ebpf"
 	"ehdl/internal/pktgen"
@@ -41,54 +42,69 @@ var DefaultKey = []byte{
 // least the 12-byte IPv4 4-tuple plus the 4-byte window.
 const minKeyBytes = 16
 
-// Hasher computes the Toeplitz hash of flow tuples.
-type Hasher struct {
-	key []byte
+// KeyError rejects a Toeplitz key too short to hash a 4-tuple.
+type KeyError struct {
+	// Len is the rejected key's length in bytes.
+	Len int
 }
 
-// NewHasher builds a hasher from a key. A nil key selects DefaultKey.
+func (e *KeyError) Error() string {
+	return fmt.Sprintf("rss: key must be at least %d bytes, got %d", minKeyBytes, e.Len)
+}
+
+// Hasher computes the Toeplitz hash of flow tuples.
+type Hasher struct {
+	// table[i][b] is the hash contribution of byte value b at input
+	// position i: the XOR of the 32-bit key windows of b's set bits.
+	// The hash is linear over XOR, so Sum is one lookup per byte (the
+	// per-byte table of software RSS, e.g. DPDK's softrss).
+	table [][256]uint32
+}
+
+// NewHasher builds a hasher from a key. A nil key selects DefaultKey;
+// a key shorter than 16 bytes returns a *KeyError.
 func NewHasher(key []byte) (*Hasher, error) {
 	if key == nil {
 		key = DefaultKey
 	}
 	if len(key) < minKeyBytes {
-		return nil, fmt.Errorf("rss: key must be at least %d bytes, got %d", minKeyBytes, len(key))
+		return nil, &KeyError{Len: len(key)}
 	}
-	return &Hasher{key: append([]byte(nil), key...)}, nil
+	h := &Hasher{table: make([][256]uint32, len(key)-4)}
+	for i := range h.table {
+		// The windows of input bits 8i..8i+7 start at key bits 8i..8i+7
+		// and together span key bytes i..i+4, all inside the key.
+		span := uint64(binary.BigEndian.Uint32(key[i:]))<<8 | uint64(key[i+4])
+		row := &h.table[i]
+		for b := 1; b < 256; b++ {
+			// Peel the lowest set bit: row[b] = row[b without it] ^ that
+			// bit's window. Bit 1<<low is input bit 7-low of the byte, so
+			// its window starts 7-low bits into span's 40.
+			low := bits.TrailingZeros8(uint8(b))
+			row[b] = row[b&(b-1)] ^ uint32(span>>(low+1))
+		}
+	}
+	return h, nil
 }
 
 // MaxInputBytes returns the longest tuple the key can cover. Longer
 // inputs are truncated to this length, keeping the hash total and
 // stable for any input size (the fuzzer leans on this).
-func (h *Hasher) MaxInputBytes() int { return len(h.key) - 4 }
+func (h *Hasher) MaxInputBytes() int { return len(h.table) }
 
 // Sum computes the Toeplitz hash of input: for every set bit of the
-// input (MSB first), XOR in the 32-bit key window starting at that bit
-// position. This is the textbook serial formulation; hardware unrolls
-// it into one XOR tree per output bit.
+// input (MSB first), the 32-bit key window starting at that bit
+// position XORs into the hash. Hardware unrolls this into one XOR tree
+// per output bit; here the precomputed table folds each input byte's
+// eight windows into one lookup.
 func (h *Hasher) Sum(input []byte) uint32 {
-	if max := h.MaxInputBytes(); len(input) > max {
-		input = input[:max]
+	if len(input) > len(h.table) {
+		input = input[:len(h.table)]
 	}
+	table := h.table[:len(input)]
 	var hash uint32
-	// window is the 32-bit key view at the current bit offset; it
-	// shifts left one bit per input bit, pulling the next key bit in
-	// from the right.
-	window := binary.BigEndian.Uint32(h.key)
-	bitPos := 32
-	for _, b := range input {
-		for mask := byte(0x80); mask != 0; mask >>= 1 {
-			if b&mask != 0 {
-				hash ^= window
-			}
-			window <<= 1
-			if bitPos < 8*len(h.key) {
-				if h.key[bitPos/8]&(0x80>>(bitPos%8)) != 0 {
-					window |= 1
-				}
-				bitPos++
-			}
-		}
+	for i, b := range input {
+		hash ^= table[i][b]
 	}
 	return hash
 }

@@ -2,6 +2,8 @@ package rss
 
 import (
 	"encoding/binary"
+	"errors"
+	"math/rand"
 	"testing"
 
 	"ehdl/internal/ebpf"
@@ -105,9 +107,84 @@ func TestHashStableForOversizedInput(t *testing.T) {
 }
 
 func TestShortKeyRejected(t *testing.T) {
-	if _, err := NewHasher(make([]byte, minKeyBytes-1)); err == nil {
-		t.Fatal("15-byte key should be rejected")
+	_, err := NewHasher(make([]byte, minKeyBytes-1))
+	var ke *KeyError
+	if !errors.As(err, &ke) || ke.Len != minKeyBytes-1 {
+		t.Fatalf("15-byte key: err %v, want a *KeyError for 15 bytes", err)
 	}
+}
+
+// serialSum is the textbook bit-serial Toeplitz hash, the oracle for
+// the table-driven Sum: for every set bit of the input (MSB first), XOR
+// in the 32-bit key window starting at that bit position. Input past
+// len(key)-4 bytes is ignored, as Sum truncates it.
+func serialSum(key, input []byte) uint32 {
+	if max := len(key) - 4; len(input) > max {
+		input = input[:max]
+	}
+	var hash uint32
+	// window is the 32-bit key view at the current bit offset; it
+	// shifts left one bit per input bit, pulling the next key bit in
+	// from the right.
+	window := binary.BigEndian.Uint32(key)
+	bitPos := 32
+	for _, b := range input {
+		for mask := byte(0x80); mask != 0; mask >>= 1 {
+			if b&mask != 0 {
+				hash ^= window
+			}
+			window <<= 1
+			if bitPos < 8*len(key) {
+				if key[bitPos/8]&(0x80>>(bitPos%8)) != 0 {
+					window |= 1
+				}
+				bitPos++
+			}
+		}
+	}
+	return hash
+}
+
+// TestSumMatchesSerialOracle checks the table against the bit-serial
+// definition over random keys of every usable length up to 64 bytes
+// and every input length from empty to past the key's reach, which
+// covers truncation.
+func TestSumMatchesSerialOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for keyLen := minKeyBytes; keyLen <= 64; keyLen++ {
+		key := make([]byte, keyLen)
+		rng.Read(key)
+		h, err := NewHasher(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.MaxInputBytes() != keyLen-4 {
+			t.Fatalf("%d-byte key: MaxInputBytes %d", keyLen, h.MaxInputBytes())
+		}
+		input := make([]byte, h.MaxInputBytes()+8)
+		for trial := 0; trial < 4; trial++ {
+			rng.Read(input)
+			for n := 0; n <= len(input); n++ {
+				if got, want := h.Sum(input[:n]), serialSum(key, input[:n]); got != want {
+					t.Fatalf("%d-byte key, %d-byte input %x: Sum %#08x, serial %#08x", keyLen, n, input[:n], got, want)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkHasherSum times one IPv4 4-tuple hash with the default key.
+func BenchmarkHasherSum(b *testing.B) {
+	h, err := NewHasher(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tuple := rssVectors[0].tuple(true)
+	var sink uint32
+	for i := 0; i < b.N; i++ {
+		sink ^= h.Sum(tuple)
+	}
+	_ = sink
 }
 
 func TestIndirectionSpread(t *testing.T) {
